@@ -51,7 +51,9 @@ class FSDSKernel:
 
         B = np.dot(U, np.diag(s))
 
-        alpha = (2**3) * s[k - 1]
+        # a window of fewer than k rows has fewer than k singular values;
+        # the missing ones are 0 (the 0/0 terms then fall to nan_to_num)
+        alpha = (2**3) * (s[k - 1] if len(s) >= k else 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             D = np.diag(s[:k] / (s[:k] ** 2 + alpha))
         D = np.nan_to_num(D)

@@ -9,8 +9,14 @@ Stages and shuffles:
    features, tumbling windows, sequential kernel fold per entity
    (stateful actor pool when ``concurrency`` is set), optional
    prequential evaluation, per-bucket checkpoint;
-3. shuffle #2: as-of join of window-end feature state onto label
-   timestamps (zero leakage);
+3. as-of join of window-end feature state onto label timestamps (zero
+   leakage, ``stages/asof.py``). The window side is materialized once;
+   at most ``asof.BROADCAST_MAX_BYTES`` in memory it is broadcast and
+   each label batch probes it in one ``map_batches`` (no shuffle),
+   above that both sides go through shuffle #2, a hash shuffle on the
+   entity. Windows of several kernels share (conv_id, ts_end) and the
+   ``kernel`` column is not joined: the tie goes to the window that
+   comes last in the window Dataset, on either path;
 4. metrics aggregation (tiny).
 """
 

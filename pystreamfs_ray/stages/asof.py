@@ -8,16 +8,36 @@ time-series: for every left row (label event) take the latest right row
 (direction="backward", exact matches allowed) — zero temporal leakage by
 construction, asserted by a property test.
 
-Execution: ONE hash shuffle. Both sides are projected onto a common
-Arrow schema with a side tag, unioned, hash-bucketed by the entity key,
-and each bucket merges per entity. Blocks stay **Arrow end-to-end**
-(list/nested payload columns like weight vectors survive untouched);
-only a minimal (key, ts, row-index) frame goes through
-``pandas.merge_asof``, and payloads are gathered back with Arrow
-``take``. Skew note: a mega-entity's rows all land in one bucket, but
-the per-bucket merge is O(n log n) sort + O(n) scan — no quadratic
-blowup; raise ``num_buckets`` so a hot key shares its bucket with
-little else.
+Execution: the right side is materialized once and its in-memory size
+is read from the block metadata (no ``count()``/``schema()`` pass). The
+size picks one of two paths that differ only in how rows meet; both
+hand one left table and the right rows of its entities to the same
+per-entity merge (``_merge``):
+
+- **broadcast** (right side at most ``BROADCAST_MAX_BYTES``): the right
+  rows are gathered by the calling process, indexed once (a stable sort
+  on a hash of the entity key, plus the row range of each distinct
+  hash) and put in the object store. ONE ``map_batches`` over the left side
+  probes each batch against it — no union, no bucket column, no sort
+  shuffle. The index is Arrow and numpy buffers, which a task maps
+  without copying; a batch binary-searches its distinct keys and
+  gathers only their rows, so its cost follows the batch and its
+  entities' right rows, not the whole right side.
+- **shuffle** (larger right sides — at the 10¹²-turn design scale the
+  window side is ≈10¹⁰ rows): both sides are projected onto a common
+  Arrow schema with a side tag, unioned, hash-bucketed by the entity key
+  and merged per bucket. A mega-entity's rows all land in one bucket,
+  but the merge is O(n log n) sort + O(n) scan — no quadratic blowup;
+  raise ``num_buckets`` so a hot key shares its bucket with little else.
+
+Blocks stay **Arrow end-to-end** (list/nested payload columns like weight
+vectors survive untouched); only a minimal (key, ts, row-index) frame
+goes through ``pandas.merge_asof`` and payloads are gathered back with
+Arrow ``take``. Right rows that share one (key, timestamp) are tied;
+the merge breaks ties by the rows' order in the right Dataset (backward
+takes the last, forward the first — ``merge_asof``'s rule). The shuffle
+path carries that order as a position column, so both paths pick the
+same winner.
 """
 
 from __future__ import annotations
@@ -26,13 +46,21 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from pystreamfs_ray.stages.window import DEFAULT_BUCKETS
 from pystreamfs_ray.util import bucket_array
 
+# Largest right side (in-memory bytes, from block metadata) that is
+# broadcast instead of shuffled. It bounds the gather into the calling
+# process and the copy each node keeps in its object store.
+BROADCAST_MAX_BYTES = 256 * 1024 * 1024
+
 _RTS = "__rts"
 _SIDE = "__side"
 _BUCKET = "__bucket"
+_RPOS = "__rpos"
+_RPREFIX = "__r."
 
 
 def _ensure_arrow(ds):
@@ -43,6 +71,89 @@ def _ensure_arrow(ds):
         ds = ds.map_batches(lambda t: t, batch_format="pyarrow")
         sch = ds.schema()
     return ds, dict(zip(sch.names, sch.types))
+
+
+def _to_arrow(block) -> pa.Table:
+    from ray.data.block import BlockAccessor
+
+    return BlockAccessor.for_block(block).to_arrow()
+
+
+def _merge(left: pa.Table, right: pa.Table, *, by: str, left_on: str,
+           how: str, direction: str, allow_exact_matches: bool,
+           right_suffix: str, matched: str) -> pa.Table:
+    """As-of merge of ``left`` rows onto ``right`` rows of the same
+    entities. ``right`` holds ``by``, ``_RTS`` and the payload columns,
+    tied rows in right-Dataset order. Output: ``by``, the other left
+    columns, ``matched``, the payload (``right_suffix`` on a name the
+    left side already uses)."""
+    left = left.select([by] + [c for c in left.column_names if c != by])
+    if right.schema.field(by).type != left.schema.field(by).type:
+        right = right.set_column(0, by, right[by].cast(left.schema.field(by).type))
+    if len(left) and len(right):
+        # minimal frames: (key, ts, row-index); payloads stay in Arrow
+        ldf = pd.DataFrame({
+            by: left[by].to_pandas(),
+            "__lts": left[left_on].to_pandas(),
+            "__li": np.arange(len(left), dtype=np.int64),
+        }).sort_values("__lts", kind="mergesort", ignore_index=True)
+        rdf = pd.DataFrame({
+            by: right[by].to_pandas(),
+            _RTS: right[_RTS].to_pandas(),
+            "__ri": np.arange(len(right), dtype=np.int64),
+        }).sort_values(_RTS, kind="mergesort", ignore_index=True)
+        m = pd.merge_asof(ldf, rdf, left_on="__lts", right_on=_RTS, by=by,
+                          direction=direction,
+                          allow_exact_matches=allow_exact_matches)
+        li = m["__li"].to_numpy(np.int64)
+        ri = m["__ri"].to_numpy(np.float64)  # NaN = no match
+    else:
+        li = np.arange(len(left), dtype=np.int64)
+        ri = np.full(len(left), np.nan)
+    miss = np.isnan(ri)
+    if how == "inner":
+        li, ri, miss = li[~miss], ri[~miss], miss[~miss]
+    right_sel = right.take(
+        pa.array(np.where(miss, 0, ri).astype(np.int64), mask=miss))
+    payload = right.column_names[2:]
+    names = left.column_names + [matched] + [
+        c + right_suffix if c in left.column_names else c for c in payload]
+    return pa.Table.from_arrays(
+        left.take(pa.array(li)).columns + right_sel.columns[1:], names=names)
+
+
+def _key_hash(keys) -> np.ndarray:
+    """uint64 hash per entity key. A collision only adds another
+    entity's rows to a probe; the merge matches ``by`` exactly."""
+    return pd.util.hash_array(keys.to_numpy(zero_copy_only=False))
+
+
+def _index_right(blocks, by: str, right_on: str):
+    """The right blocks as one Arrow table (``by``, ``_RTS``, payload)
+    with the rows of each key hash contiguous and in Dataset order, the
+    sorted distinct key hashes, and the row bounds of each hash's run.
+    Zero-row blocks are dropped first: Ray may hand them without a
+    schema, which a plain concat rejects."""
+    tables = [_to_arrow(b) for b in ray.get([ref for ref, _ in blocks])]
+    typed = ([t for t in tables if t.num_rows]
+             or [t for t in tables if t.num_columns])
+    t = (pa.concat_tables(typed, promote_options="permissive") if typed
+         else pa.table({by: pa.nulls(0), right_on: pa.nulls(0)}))
+    payload = [c for c in t.column_names if c not in (by, right_on)]
+    t = t.select([by, right_on, *payload]).rename_columns([by, _RTS, *payload])
+    h = _key_hash(t[by])
+    order = np.argsort(h, kind="stable")  # stable: ties keep Dataset order
+    h = h[order]
+    first = (np.flatnonzero(np.r_[True, h[1:] != h[:-1]]) if len(h)
+             else np.zeros(0, np.int64))
+    return t.take(pa.array(order)), h[first], np.append(first, len(h))
+
+
+def _with_position(block, offset: int) -> pa.Table:
+    """One right block as Arrow with its rows' Dataset positions."""
+    t = _to_arrow(block)
+    return t.append_column(
+        _RPOS, pa.array(np.arange(offset, offset + len(t), dtype=np.int64)))
 
 
 def asof_join(
@@ -60,29 +171,69 @@ def asof_join(
     num_buckets: int = DEFAULT_BUCKETS,
     concurrency=None,
 ):
-    """Point-in-time join of ``right_ds`` features onto ``left_ds`` rows."""
+    """Point-in-time join of ``right_ds`` features onto ``left_ds`` rows.
+
+    Broadcasts the right side when its in-memory size is at most
+    ``BROADCAST_MAX_BYTES``, else shuffles both sides into
+    ``num_buckets`` entity buckets; the output is the same either way."""
+    def merge(left: pa.Table, right: pa.Table) -> pa.Table:
+        return _merge(left, right, by=by, left_on=left_on, how=how,
+                      direction=direction,
+                      allow_exact_matches=allow_exact_matches,
+                      right_suffix=right_suffix,
+                      matched=matched_name or f"{right_on}_matched")
+
+    right = right_ds.materialize()
+    blocks = [b for bundle in right.iter_internal_ref_bundles()
+              for b in bundle.blocks]
+    right_bytes = sum(meta.size_bytes or 0 for _, meta in blocks)
+    if right_bytes <= BROADCAST_MAX_BYTES or not any(
+            meta.num_rows for _, meta in blocks):
+        ref = ray.put(_index_right(blocks, by, right_on))
+
+        def probe(batch: pa.Table) -> pa.Table:
+            table, hashes, bounds = ray.get(ref)
+            rows = np.zeros(0, dtype=np.int64)
+            if len(hashes):
+                keys = pc.unique(batch[by]).cast(table.schema.field(by).type)
+                q = _key_hash(keys)
+                i = np.minimum(np.searchsorted(hashes, q), len(hashes) - 1)
+                i = i[hashes[i] == q]
+                lens = bounds[i + 1] - bounds[i]
+                # the aranges bounds[i] .. bounds[i + 1], concatenated
+                rows = np.arange(lens.sum()) + np.repeat(
+                    bounds[i] - np.cumsum(lens) + lens, lens)
+            return merge(batch, table.take(pa.array(rows, type=pa.int64())))
+
+        return left_ds.map_batches(probe, batch_format="pyarrow",
+                                   batch_size=None, concurrency=concurrency)
+    return _shuffle_join(left_ds, blocks, merge, by=by, right_on=right_on,
+                         num_buckets=num_buckets, concurrency=concurrency)
+
+
+def _shuffle_join(left_ds, blocks, merge, *, by: str, right_on: str,
+                  num_buckets: int, concurrency):
+    """Both sides through one hash shuffle on ``by``; each bucket's rows
+    go to ``merge``, right rows in Dataset order."""
+    import ray.data as rd
+
     left_ds, ltypes = _ensure_arrow(left_ds)
-    right_ds, rtypes = _ensure_arrow(right_ds)
+    position = ray.remote(_with_position)
+    offsets = np.cumsum([0] + [meta.num_rows or 0 for _, meta in blocks])
+    right_ds = rd.from_arrow_refs([
+        position.remote(ref, int(off))
+        for (ref, meta), off in zip(blocks, offsets) if meta.num_rows])
+    sch = right_ds.schema()
+    rtypes = dict(zip(sch.names, sch.types))
 
     left_cols = [c for c in ltypes if c != by]
-    right_payload = [c for c in rtypes if c not in (by, right_on)]
-    rename_right = {
-        c: (c + right_suffix if c in ltypes or c == by else c) for c in right_payload
-    }
-    matched = matched_name or f"{right_on}_matched"
-
-    fields = [pa.field(by, ltypes[by]), pa.field(_SIDE, pa.int8())]
-    fields += [pa.field(c, ltypes[c]) for c in left_cols]
-    fields += [pa.field(_RTS, rtypes[right_on])]
-    fields += [pa.field(rename_right[c], rtypes[c]) for c in right_payload]
-    union_schema = pa.schema(fields)
-
-    right_out_cols = [rename_right[c] for c in right_payload]
-    out_schema = pa.schema(
-        [pa.field(by, ltypes[by])]
+    payload = [c for c in rtypes if c not in (by, right_on, _RPOS)]
+    union_schema = pa.schema(
+        [pa.field(by, ltypes[by]), pa.field(_SIDE, pa.int8())]
         + [pa.field(c, ltypes[c]) for c in left_cols]
-        + [pa.field(matched, rtypes[right_on])]
-        + [pa.field(rename_right[c], rtypes[c]) for c in right_payload]
+        + [pa.field(_RTS, rtypes[right_on])]
+        + [pa.field(_RPREFIX + c, rtypes[c]) for c in payload]
+        + [pa.field(_RPOS, pa.int64())]
     )
 
     def _project(side: int, src_names: dict[str, str]):
@@ -92,84 +243,37 @@ def asof_join(
             for field in union_schema:
                 if field.name == _SIDE:
                     arrays.append(pa.array(np.full(n, side, dtype=np.int8)))
-                elif field.name == _BUCKET:
-                    continue
                 elif field.name in src_names:
                     arrays.append(t[src_names[field.name]].cast(field.type))
                 else:
                     arrays.append(pa.nulls(n, field.type))
-            return pa.Table.from_arrays(arrays, schema=union_schema)
+            out = pa.Table.from_arrays(arrays, schema=union_schema)
+            keys = out[by].cast(pa.string()).to_pylist()
+            return out.append_column(
+                _BUCKET,
+                pa.array(bucket_array(keys, num_buckets), type=pa.int32()))
 
         return fn
 
-    lmap = {by: by, **{c: c for c in left_cols}}
-    rmap = {by: by, _RTS: right_on, **{rename_right[c]: c for c in right_payload}}
-    lt = left_ds.map_batches(_project(0, lmap), batch_format="pyarrow")
-    rt = right_ds.map_batches(_project(1, rmap), batch_format="pyarrow")
-    both = lt.union(rt)
+    lmap = {c: c for c in (by, *left_cols)}
+    rmap = {by: by, _RTS: right_on, _RPOS: _RPOS,
+            **{_RPREFIX + c: c for c in payload}}
+    both = left_ds.map_batches(_project(0, lmap), batch_format="pyarrow").union(
+        right_ds.map_batches(_project(1, rmap), batch_format="pyarrow"))
 
-    def _assign(t: pa.Table) -> pa.Table:
-        keys = t[by].cast(pa.string()).to_pylist()
-        return t.append_column(
-            _BUCKET, pa.array(bucket_array(keys, num_buckets), type=pa.int32())
-        )
-
-    def _merge(group: pa.Table) -> pa.Table:
+    def _bucket(group: pa.Table) -> pa.Table:
         if isinstance(group, dict):  # map_groups may hand dict-of-numpy
             group = pa.table(group)
         left_t = group.filter(pc.equal(group[_SIDE], 0)).select([by, *left_cols])
-        right_t = group.filter(pc.equal(group[_SIDE], 1)).select(
-            [by, _RTS, *right_out_cols]
-        )
-        if len(left_t) == 0:
-            return out_schema.empty_table()
+        right_t = group.filter(pc.equal(group[_SIDE], 1))
+        right_t = right_t.take(pc.sort_indices(right_t[_RPOS]))
+        right_t = right_t.select(
+            [by, _RTS, *(_RPREFIX + c for c in payload)]
+        ).rename_columns([by, _RTS, *payload])
+        return merge(left_t, right_t)
 
-        # minimal frames: (key, ts, row-index); payloads stay in Arrow
-        ldf = pd.DataFrame(
-            {
-                by: left_t[by].to_pandas(),
-                "__lts": left_t[left_on].to_pandas(),
-                "__li": np.arange(len(left_t), dtype=np.int64),
-            }
-        ).sort_values("__lts", kind="mergesort", ignore_index=True)
-        rdf = pd.DataFrame(
-            {
-                by: right_t[by].to_pandas(),
-                _RTS: right_t[_RTS].to_pandas(),
-                "__ri": np.arange(len(right_t), dtype=np.int64),
-            }
-        ).sort_values(_RTS, kind="mergesort", ignore_index=True)
-
-        m = pd.merge_asof(
-            ldf,
-            rdf,
-            left_on="__lts",
-            right_on=_RTS,
-            by=by,
-            direction=direction,
-            allow_exact_matches=allow_exact_matches,
-        )
-        if how == "inner":
-            m = m[m["__ri"].notna()]
-
-        li = pa.array(m["__li"].to_numpy(dtype=np.int64))
-        ri = pa.array(
-            [None if pd.isna(v) else int(v) for v in m["__ri"]], type=pa.int64()
-        )
-        left_sel = left_t.take(li)
-        right_sel = right_t.take(ri)
-
-        arrays = [left_sel[by]]
-        arrays += [left_sel[c] for c in left_cols]
-        arrays += [right_sel[_RTS]]
-        arrays += [right_sel[c] for c in right_out_cols]
-        return pa.Table.from_arrays(arrays, schema=out_schema)
-
-    return (
-        both.map_batches(_assign, batch_format="pyarrow")
-        .groupby(_BUCKET)
-        .map_groups(_merge, batch_format="pyarrow", concurrency=concurrency)
-    )
+    return both.groupby(_BUCKET).map_groups(
+        _bucket, batch_format="pyarrow", concurrency=concurrency)
 
 
 def asof_join_time(
@@ -207,7 +311,6 @@ def asof_join_time(
     """
     left_ds, ltypes = _ensure_arrow(left_ds)
     right_ds, rtypes = _ensure_arrow(right_ds)
-    import ray
     import ray.data as rd
 
     left_cols = list(ltypes)

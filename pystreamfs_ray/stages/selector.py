@@ -211,7 +211,8 @@ class BucketSelector:
             prior_states = read_bucket_state(
                 self.checkpoint_dir, bucket_id, lineage=self._lineage()
             )
-        new_states: dict = {}
+        # entities absent from this run keep their carried state as is
+        new_states: dict = dict(prior_states)
 
         bs = self.batch_size
         n_convs = 0

@@ -194,8 +194,11 @@ def drop_empty_blocks(ds, num_blocks: int):
 
 
 def stats_table(ds) -> "pd.DataFrame":
-    """Parse ``ds.stats()`` into a compact per-operator observability
-    table: (operator, tasks, wall_total_s, cpu_total_s). The judge of
+    """Parse ``ds.stats()`` (or that text itself) into a compact
+    per-operator observability table: (operator, tasks, wall_total_s,
+    cpu_total_s). An all-to-all operator reports each sub-operator as
+    its own row, named ``<operator>/<sub-operator>`` (a ``Sort`` gives
+    ``Sort/SortMap`` and ``Sort/SortReduce``). The judge of
     a pipeline's health at scale is whether wall time is dominated by
     useful compute — this surfaces exactly that per stage without
     reading the raw stats dump. Parsing is tolerant of missing
@@ -206,12 +209,20 @@ def stats_table(ds) -> "pd.DataFrame":
 
     import pandas as pd
 
-    text = ds.stats()
+    text = ds if isinstance(ds, str) else ds.stats()
     rows = []
-    for block in re.split(r"\n(?=Operator )", text):
-        m = re.match(r"Operator (\d+) (.+?):", block)
+    parent, parent_row = "", None  # the last top-level operator
+    for block in re.split(r"\n(?=\s*(?:Operator|Suboperator) \d+ )", text):
+        m = re.match(r"\s*(Operator|Suboperator) (\d+) (.+?):", block)
         if not m:
             continue
+        kind, name = m.group(1), m.group(3).strip()
+        if kind == "Operator":
+            parent = name
+        else:
+            if rows and rows[-1] is parent_row:
+                rows.pop()  # the parent's header holds no times of its own
+            name = f"{parent}/{name}"
         tasks = re.search(r"(\d+) tasks executed", block)
         wall = re.search(
             r"Remote wall time:.*?, ([\d.]+)(us|ms|s|m) total", block)
@@ -225,9 +236,11 @@ def stats_table(ds) -> "pd.DataFrame":
             return v * {"us": 1e-6, "ms": 1e-3, "s": 1.0, "m": 60.0}[unit]
 
         rows.append({
-            "operator": m.group(2).strip()[:80],
+            "operator": name[:80],
             "tasks": int(tasks.group(1)) if tasks else 0,
             "wall_total_s": round(_sec(wall), 3),
             "cpu_total_s": round(_sec(cpu), 3),
         })
+        if kind == "Operator":
+            parent_row = rows[-1]
     return pd.DataFrame(rows)

@@ -21,7 +21,8 @@ rows sorted by all columns; values must be identical to the last bit
 (floats compared exactly -- the repo float policy is exact integers or
 ROUND 6 of bit-identical doubles). ``hash_match`` is equality of a
 sha256 over the normalized column bytes. Queries with no oracle entry
-(the declared non-SQL set) get err="no_oracle" and a rows>0 check only.
+(the declared non-SQL set) get err="no_oracle" and only a rows>0 check,
+recorded as ``nonempty``.
 """
 
 from __future__ import annotations
@@ -125,6 +126,18 @@ def compare(mine: pd.DataFrame, want: pd.DataFrame) -> dict:
     return rec
 
 
+def select_names(names: list[str], first: int | None,
+                 only: str | None) -> list[str]:
+    """The registry slice to sweep: the first ``first`` names, then of
+    those the comma-separated ``only`` names, in registry order."""
+    if first:
+        names = names[:first]
+    if only:
+        wanted = set(only.split(","))
+        names = [n for n in names if n in wanted]
+    return names
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--sf-dir", default="/root/testdata/sf0.01")
@@ -146,11 +159,7 @@ def main() -> int:
     mod = _entry_module()
     qs = mod.queries()
     oracles = mod.oracle_sql(args.sf_dir)
-    names = list(qs)
-    if args.first:
-        names = names[: args.first]
-    if args.only:
-        names = [n for n in args.only.split(",") if n in qs]
+    names = select_names(list(qs), args.first, args.only)
 
     con = _duck(args.sf_dir)
     out, n_green, n_rows_only, n_fail = {}, 0, 0, 0
@@ -167,9 +176,10 @@ def main() -> int:
                     rec["err"] = rec["err"] or "mismatch"
             else:
                 rec = {
-                    "rows_match": len(mine) > 0,
-                    "schema_match": True,
+                    "rows_match": None,  # no oracle to compare with
+                    "schema_match": None,
                     "hash_match": False,
+                    "nonempty": len(mine) > 0,
                     "engine_rows": int(len(mine)),
                     "oracle_rows": None,
                     "err": "no_oracle",
@@ -186,7 +196,7 @@ def main() -> int:
         if rec["hash_match"]:
             n_green += 1
             tag = "green"
-        elif rec["err"] == "no_oracle" and rec["rows_match"]:
+        elif rec["err"] == "no_oracle" and rec["nonempty"]:
             n_rows_only += 1
             tag = "rows-only"
         else:

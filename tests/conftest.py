@@ -42,3 +42,18 @@ def synth_dirs(tmp_path_factory):
 
     root = tmp_path_factory.mktemp("synth")
     return build_fixture(str(root), n_convs=20, seed=7, mega_convs=2, n_files=4)
+
+
+@pytest.fixture
+def asof_paths(monkeypatch):
+    """Run a block under both as-of join paths: ``for path in
+    asof_paths(): ...`` yields "broadcast", then "shuffle", with
+    ``stages.asof.BROADCAST_MAX_BYTES`` patched to force each."""
+    import pystreamfs_ray.stages.asof as asof
+
+    def paths():
+        for name, gate in (("broadcast", 1 << 62), ("shuffle", -1)):
+            monkeypatch.setattr(asof, "BROADCAST_MAX_BYTES", gate)
+            yield name
+
+    return paths

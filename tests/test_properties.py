@@ -329,3 +329,42 @@ def test_int8_quantization_error_bound(d, n, seed):
     exact = norm @ q
     bound = np.abs(q).sum() * s / 2 + 1e-9
     assert (np.abs(approx - exact) <= bound).all()
+
+
+def _fsds_update_unpatched(state, X, k):
+    """The FSDS update as it was before short windows were handled;
+    windows with at least k rows must still match it bit for bit."""
+    ell = state["ell"]
+    Yt = np.ascontiguousarray(X.T)
+    if state["B"] is None:
+        C = np.hstack((Yt[:, :ell], Yt[:, ell:]))
+    else:
+        C = np.hstack((state["B"], Yt))
+    U, s, _ = np.linalg.svd(C, full_matrices=False)
+    U, s = U[:, :ell], s[:ell]
+    with np.errstate(invalid="ignore"):
+        s = np.nan_to_num(np.sqrt(s**2 - s[-1] ** 2))
+    alpha = (2**3) * s[k - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        D = np.nan_to_num(np.diag(s[:k] / (s[:k] ** 2 + alpha)))
+    w = np.amax(np.abs(np.dot(U[:, :k], D)), axis=1)
+    return w, {"B": np.dot(U, np.diag(s)), "ell": ell}
+
+
+@given(st.integers(1, 3), st.integers(1, 8), st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_fsds_short_first_window(k, n_first, seed):
+    """An entity whose first window has fewer than k rows has fewer than
+    k singular values: the missing ones count as 0 and the stream goes
+    on with finite weights. Windows of k or more rows are unchanged."""
+    kern = get_kernel("fsds")
+    X = np.random.default_rng(seed).normal(size=(n_first + 30, 10))
+    state = kern.init_state(10, {})
+    for lo, hi in ((0, n_first), (n_first, n_first + 30)):
+        prior = state
+        w, state = kern.update(state, X[lo:hi], None, k=k)
+        assert w.shape == (10,) and np.isfinite(w).all()
+        if hi - lo >= k:
+            w_ref, ref = _fsds_update_unpatched(prior, X[lo:hi], k)
+            assert np.array_equal(w, w_ref)
+            assert np.array_equal(state["B"], ref["B"])

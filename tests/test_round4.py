@@ -2636,27 +2636,28 @@ def test_window_heavy_replay(ray_session):
         assert list(mine["rk"]) == list(range(1, len(c) + 1))
 
 
-def test_asof_nearest_semantics(ray_session):
+def test_asof_nearest_semantics(ray_session, asof_paths):
     """Every match is the temporally closest candidate; ties go to the
     past (pandas merge_asof parity) — verified by a per-row replay."""
     from pystreamfs_ray.pipelines.queries import q_asof_nearest
     from pystreamfs_ray.sources import read_parquet
 
     sf = "/root/testdata/sf0.001"
-    got = q_asof_nearest(sf).to_pandas()
     ev = read_parquet(sf + "/events.parquet").to_pandas()
     right = ev[ev["event_type"] != "purchase"]
     by_user = {u: g["ts"].to_numpy() for u, g in right.groupby("user_id")}
-    assert len(got) > 0
-    for _, r in got.head(200).iterrows():
-        cands = by_user[r["user_id"]]
-        dt = np.abs((cands - np.datetime64(r["ts"])).astype("int64"))
-        best = dt.min()
-        chosen = abs((np.datetime64(r["ts_matched"])
-                      - np.datetime64(r["ts"])).astype("int64"))
-        assert chosen == best, r["event_id"]
-        if (dt == best).sum() > 1:  # tie -> past side
-            assert np.datetime64(r["ts_matched"]) <= np.datetime64(r["ts"])
+    for path in asof_paths():
+        got = q_asof_nearest(sf).to_pandas()
+        assert len(got) > 0, path
+        for _, r in got.head(200).iterrows():
+            cands = by_user[r["user_id"]]
+            dt = np.abs((cands - np.datetime64(r["ts"])).astype("int64"))
+            best = dt.min()
+            chosen = abs((np.datetime64(r["ts_matched"])
+                          - np.datetime64(r["ts"])).astype("int64"))
+            assert chosen == best, (path, r["event_id"])
+            if (dt == best).sum() > 1:  # tie -> past side
+                assert np.datetime64(r["ts_matched"]) <= np.datetime64(r["ts"])
 
 
 def test_tool_sequences_replay(ray_session):

@@ -456,6 +456,47 @@ def test_stats_table_observability(ray_session):
     assert t["wall_total_s"].fillna(0).ge(0).all()
 
 
+# ds.stats() of range → map_batches → groupby().map_groups(), Ray 2.49
+_SORT_STATS = """Operator 1 ReadRange->MapBatches(<lambda>): 4 tasks executed, 4 blocks produced in 0.12s
+* Remote wall time: 1.27ms min, 17.13ms max, 6.88ms mean, 27.54ms total
+* Remote cpu time: 1.26ms min, 8.75ms max, 3.27ms mean, 13.09ms total
+* Output num rows per block: 250 min, 250 max, 250 mean, 1000 total
+
+Operator 2 Sort: executed in 1.48s
+
+\tSuboperator 0 SortMap: 3 tasks executed, 4 blocks produced
+\t* Remote wall time: 270.52us min, 506.33us max, 350.39us mean, 1.4ms total
+\t* Remote cpu time: 269.77us min, 504.91us max, 349.43us mean, 1.2ms total
+\t* Output num rows per block: 250 min, 250 max, 250 mean, 1000 total
+
+\tSuboperator 1 SortReduce: 2 tasks executed, 4 blocks produced
+\t* Remote wall time: 23.48us min, 613.87us max, 291.34us mean, 2.17s total
+\t* Remote cpu time: 21.76us min, 613.48us max, 290.05us mean, 1.16s total
+\t* Output num rows per block: 0 min, 666 max, 250 mean, 1000 total
+
+Operator 3 MapBatches(<lambda>): 4 tasks executed, 4 blocks produced in 0.09s
+* Remote wall time: 482.98us min, 25.35ms max, 10.9ms mean, 43.58ms total
+* Remote cpu time: 481.49us min, 2.66ms max, 1.5ms mean, 6.01ms total
+
+Dataset throughput:
+\t* Ray Data throughput: 2020.1950291011453 rows/s
+"""
+
+
+def test_stats_table_reports_sort_sub_operators():
+    """A Sort is reported per sub-operator, the reduce side included."""
+    from pystreamfs_ray.util import stats_table
+
+    t = stats_table(_SORT_STATS).set_index("operator")
+    assert list(t.index) == ["ReadRange->MapBatches(<lambda>)", "Sort/SortMap",
+                             "Sort/SortReduce", "MapBatches(<lambda>)"]
+    assert t["tasks"].tolist() == [4, 3, 2, 4]
+    assert t.loc["Sort/SortMap", "cpu_total_s"] == 0.001
+    assert t.loc["Sort/SortReduce", "wall_total_s"] == 2.17
+    assert t.loc["Sort/SortReduce", "cpu_total_s"] == 1.16
+    assert t.loc["MapBatches(<lambda>)", "cpu_total_s"] == 0.006
+
+
 def test_q_bpe_encode_runs(ray_session):
     from pystreamfs_ray.pipelines.queries import q_bpe_encode
 

@@ -137,23 +137,11 @@ def test_selector_evaluation(ray_session, synth_dirs):
     assert ((out["acc"] >= 0) & (out["acc"] <= 1)).all()
 
 
-def test_asof_join_leakage_and_duckdb(ray_session, synth_dirs):
+def test_asof_join_leakage_and_duckdb(ray_session, synth_dirs, asof_paths):
     import duckdb
     import ray.data as rd
 
     from pystreamfs_ray.stages.asof import asof_join
-
-    labels = rd.read_parquet(synth_dirs["labels"])
-    trans = rd.read_parquet(synth_dirs["transcripts"]).select_columns(
-        ["conv_id", "turn_idx", "ts"]
-    )
-    joined = asof_join(
-        labels, trans, by="conv_id", left_on="ts", right_on="ts",
-        how="inner", num_buckets=8,
-    ).to_pandas()
-
-    # zero-leakage property: matched feature ts <= label ts, always
-    assert (joined["ts_matched"] <= joined["ts"]).all()
 
     con = duckdb.connect()
     want = con.execute(
@@ -164,16 +152,29 @@ def test_asof_join_leakage_and_duckdb(ray_session, synth_dirs):
           ON l.conv_id = t.conv_id AND l.ts >= t.ts
         """
     ).df()
-    a = joined[["conv_id", "ts", "label", "turn_idx", "ts_matched"]].sort_values(
-        ["conv_id", "ts", "label"], ignore_index=True
-    )
     b = want.sort_values(["conv_id", "ts", "label"], ignore_index=True)
-    assert len(a) == len(b)
-    assert (a["turn_idx"].to_numpy() == b["turn_idx"].to_numpy()).all()
-    assert (a["ts_matched"].to_numpy() == b["ts_matched"].to_numpy()).all()
-    # the no-match probe (label before first turn) must be dropped by inner
     n_labels = _read_all(synth_dirs["labels"]).num_rows
-    assert len(a) < n_labels
+    for path in asof_paths():
+        labels = rd.read_parquet(synth_dirs["labels"])
+        trans = rd.read_parquet(synth_dirs["transcripts"]).select_columns(
+            ["conv_id", "turn_idx", "ts"]
+        )
+        joined = asof_join(
+            labels, trans, by="conv_id", left_on="ts", right_on="ts",
+            how="inner", num_buckets=8,
+        ).to_pandas()
+
+        # zero-leakage property: matched feature ts <= label ts, always
+        assert (joined["ts_matched"] <= joined["ts"]).all(), path
+
+        a = joined[["conv_id", "ts", "label", "turn_idx", "ts_matched"]].sort_values(
+            ["conv_id", "ts", "label"], ignore_index=True
+        )
+        assert len(a) == len(b), path
+        assert (a["turn_idx"].to_numpy() == b["turn_idx"].to_numpy()).all(), path
+        assert (a["ts_matched"].to_numpy() == b["ts_matched"].to_numpy()).all(), path
+        # the no-match probe (label before first turn) must be dropped by inner
+        assert len(a) < n_labels, path
 
 
 def test_checkpoint_resume(ray_session, synth_dirs, tmp_path):
@@ -446,14 +447,16 @@ def test_cms_bounds_and_merge_invariance(ray_session):
     pd.testing.assert_frame_equal(a, b)
 
 
-def test_asof_forward_strictly_after(ray_session):
+def test_asof_forward_strictly_after(ray_session, asof_paths):
     """Forward as-of: every matched event is STRICTLY after the left
     row (the mirror of the backward form's zero-leakage property)."""
     from pystreamfs_ray.pipelines.queries import q_asof_forward
+    from tests.test_entry_contract import SF_DIR
 
-    out = q_asof_forward("/root/testdata/sf0.001").to_pandas()
-    assert len(out) > 0
-    assert (out["ts_matched"] > out["ts"]).all()
+    for path in asof_paths():
+        out = q_asof_forward(SF_DIR).to_pandas()
+        assert len(out) > 0, path
+        assert (out["ts_matched"] > out["ts"]).all(), path
 
 
 def test_add_window_funcs_sql_tie_semantics(ray_session):

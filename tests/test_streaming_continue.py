@@ -78,3 +78,41 @@ def test_bucket_state_lineage_validation(tmp_path):
     assert read_bucket_state(root, 3, lineage=lin_a) == states
     assert read_bucket_state(root, 3, lineage=lin_b) == {}
     assert read_bucket_state(root, 99, lineage=lin_a) == {}
+
+
+def test_entity_absent_from_middle_leg_keeps_state(ray_session, tmp_path):
+    """Three streaming legs; one entity has no rows in the middle leg.
+    Its carried state must survive that leg (its bucket is rewritten
+    there for the other entities), so all three legs together still
+    equal one full run, that entity included."""
+    import ray.data as rd
+
+    from pystreamfs_ray.pipelines.flagship import feature_windows
+    from pystreamfs_ray.synth import generate_transcripts
+
+    df = generate_transcripts(6, seed=11, mega_convs=0).to_pandas()
+    skip = df["conv_id"].iloc[0]
+    n = df.groupby("conv_id")["turn_idx"].transform("size")
+    leg = np.where(df["turn_idx"] < 0.35 * n, 0,
+                   np.where(df["turn_idx"] < 0.7 * n, 1, 2))
+    leg[(df["conv_id"] == skip).to_numpy() & (leg == 1)] = 2
+    assert (leg[(df["conv_id"] == skip).to_numpy()] != 1).all()
+
+    ckpt = str(tmp_path / "ckpt")
+    common = dict(kernel=["ofs", "efs"], batch_size=7, num_features=5,
+                  num_buckets=1, evaluate="knn", max_history=40)
+    full = feature_windows(rd.from_pandas(df), **common).to_pandas()
+    outs = []
+    for i, extra in enumerate([dict(flush=False), dict(flush=False, load_state=True),
+                               dict(flush=True, load_state=True)]):
+        part = df[leg == i].reset_index(drop=True)
+        outs.append(feature_windows(rd.from_pandas(part), **common, streaming=True,
+                                    checkpoint_dir=ckpt, **extra).to_pandas())
+    key = ["kernel", "conv_id", "window_id"]
+    a = full.sort_values(key, ignore_index=True)
+    b = pd.concat(outs, ignore_index=True).sort_values(key, ignore_index=True)
+    assert (b["conv_id"] == skip).any()
+    pd.testing.assert_frame_equal(a[key + ["n_rows", "ts_end"]], b[key + ["n_rows", "ts_end"]])
+    for wa, wb in zip(a["w"], b["w"]):
+        np.testing.assert_array_equal(np.array(wa), np.array(wb))
+    np.testing.assert_array_equal(a["acc"].to_numpy(), b["acc"].to_numpy())
