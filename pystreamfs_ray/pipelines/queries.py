@@ -3820,7 +3820,15 @@ def q_echo_rate(sf_dir: str):
     response that mostly echoes the prompt teaches nothing). Doc-local
     after the pair mining's conv shuffle — per pair, two hashed
     3-gram sets and one intersection; ``echo_ppm`` is an exact
-    integer floor division (responses with <3 words report -1)."""
+    integer floor division (responses with <3 words report -1).
+
+    Words are Python ``str.split()`` tokens; the oracle splits
+    ``trim(x)`` on RE2 ``\\s+``. They agree on the fixtures' text but
+    not on every string: Python also splits at ``\\v`` and Unicode
+    whitespace (NBSP, U+2028, ...), which RE2's ASCII-only ``\\s``
+    keeps inside a word, and DuckDB's ``trim`` strips only spaces, so
+    a leading or trailing tab or newline gives the oracle an empty
+    first or last word."""
     from pystreamfs_ray.pipelines.transcripts import sft_pairs
 
     t = transcripts_from_events(sf_dir, num_buckets=_BUCKETS)
@@ -7781,13 +7789,22 @@ def q_embedding_anomaly(sf_dir: str):
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         X = np.stack(df["embedding"].to_numpy())
-        Q = np.floor(X.astype(np.float64) * GRID).astype(np.int64)
+        F = np.floor(X.astype(np.float64) * GRID)
+        Q = F.astype(np.int64)
         return pd.DataFrame({"n": [len(Q)],
                              "s": [Q.sum(axis=0)],
-                             "ss": [(Q * Q).sum(axis=0)]})
+                             "ss": [(Q * Q).sum(axis=0)],
+                             "ss_f": [(F * F).sum(axis=0)]})
 
     parts = emb.map_batches(partial, batch_format="pandas").to_pandas()
     n = int(parts["n"].sum())
+    # every int64 value below (q², Σq², (Σq)², n·q) is at most n·Σq²,
+    # so the power sums are exact iff n·Σq² < 2^63 — where the
+    # oracle's BIGINT products overflow too; raise instead of wrapping
+    ss_f = np.sum(np.stack(parts["ss_f"].to_list()), axis=0)
+    if n * ss_f.max(initial=0.0) >= 2.0**63:
+        raise OverflowError("q_embedding_anomaly: n·Σq² reaches 2^63 on "
+                            "the 2^12 grid; the int64 power sums would wrap")
     S = np.sum(np.stack(parts["s"].to_list()), axis=0).astype(np.int64)
     SS = np.sum(np.stack(parts["ss"].to_list()), axis=0).astype(np.int64)
     b_int = n * SS - S * S                   # n²·var per dim, exact int64
@@ -7800,6 +7817,11 @@ def q_embedding_anomaly(sf_dir: str):
         a = (n * Q - S).astype(np.float64)   # n·(q−mean) per dim, exact
         # per-dim exact integer ppm terms; the sum is order-free int64
         terms = np.floor((a[:, live] * a[:, live]) / b[live] * 1e6)
+        # a² ≤ (n−1)·b bounds each term by (n−1)·10⁶, but the row total
+        # over d dims can still pass 2^63 (the oracle's CAST fails there)
+        if (terms.sum(axis=1) >= 2.0**63).any():
+            raise OverflowError("q_embedding_anomaly: a ppm total reaches "
+                                "2^63; the int64 cast would wrap")
         return pd.DataFrame({
             "vec_id": df["vec_id"].to_numpy(np.int64),
             "anomaly_ppm": terms.astype(np.int64).sum(axis=1),

@@ -17,16 +17,25 @@ import os
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 import ray.data as rd
 
 from pystreamfs_ray.sources import read_parquet
 
 from pystreamfs_ray.stages.window import per_bucket, sort_entity
+from pystreamfs_ray.util import RE2_SPACE, byte_class_counts
 
 ROLE_OF_EVENT = {"click": "user", "view": "user", "purchase": "assistant",
                  "signup": "assistant", "error": "system"}
 TOOL_OF_EVENT = {"purchase": "search", "signup": "code", "error": "calc"}
+
+
+def _ws_tokens(texts: pd.Series) -> np.ndarray:
+    """Whitespace-token count per text: RE2 ``\\S+`` runs, as the
+    oracles' ``len(regexp_extract_all(x, '\\S+'))`` count them (``\\v``,
+    NBSP and U+2028 are not whitespace there, unlike in Python's ``re``)."""
+    return byte_class_counts(pa.array(texts, type=pa.string()), RE2_SPACE)[1].to_numpy()
 
 
 def read_transcripts(path: str):
@@ -156,7 +165,7 @@ def best_of_n(ts_ds, *, num_buckets: int = 64):
             "prompt": df["prompt"],
             "conv_id": df["conv_id"],
             "turn_idx": df["turn_idx"].astype(np.int64),
-            "score": df["response"].str.count(r"\S+").to_numpy(np.int64),
+            "score": _ws_tokens(df["response"]),
         })
         out["__h"] = (content_hash64(out["prompt"].to_numpy())
                       % np.uint64(num_buckets)).astype(np.int64)
@@ -206,7 +215,7 @@ def dpo_pairs(ts_ds, *, num_buckets: int = 64):
             "prompt": df["prompt"],
             "conv_id": df["conv_id"],
             "turn_idx": df["turn_idx"].astype(np.int64),
-            "score": df["response"].str.count(r"\S+").to_numpy(np.int64),
+            "score": _ws_tokens(df["response"]),
         })
         out["__h"] = (content_hash64(out["prompt"].to_numpy())
                       % np.uint64(num_buckets)).astype(np.int64)
@@ -257,7 +266,7 @@ def loss_spans(ts_ds, *, num_buckets: int = 64):
 
     def spans(g: pd.DataFrame) -> pd.DataFrame:
         g = sort_entity(g, entity_col="conv_id", order_cols=("turn_idx",))
-        tok = g["text"].str.count(r"\S+").to_numpy(np.int64)
+        tok = _ws_tokens(g["text"])
         g = g.assign(__tok=tok)
         start = (g.groupby("conv_id", sort=False)["__tok"].cumsum()
                  .to_numpy(np.int64) - tok)
@@ -319,7 +328,7 @@ def truncate_context(ts_ds, *, budget_tokens: int = 64,
 
     def _trunc(g: pd.DataFrame) -> pd.DataFrame:
         g = sort_entity(g, entity_col="conv_id", order_cols=("turn_idx",))
-        tok = g["text"].str.count(r"\S+").to_numpy(np.int64)
+        tok = _ws_tokens(g["text"])
         s = pd.Series(tok, index=g.index)
         grp = s.groupby(g["conv_id"], sort=False)
         rcum = grp.transform("sum").to_numpy(np.int64) \

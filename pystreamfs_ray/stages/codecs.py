@@ -143,6 +143,9 @@ def decode_wav(data: bytes) -> dict:
                 raise ValueError("truncated fmt chunk")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif cid == b"data":
+            if len(body) < size:
+                raise ValueError(f"truncated WAV data chunk: declares {size} "
+                                 f"bytes, have {len(body)}")
             pcm = body
         pos += 8 + size + (size % 2)  # word-aligned chunk walk
     if fmt is None or pcm is None:

@@ -8,9 +8,12 @@ engine analog of the reference's pre-cleaned numeric matrix
 column passes through untouched so per-turn text equality under stable
 turn ordering stays checkable (BASELINE.json invariant).
 
-All 13 stateless features use ``pyarrow.compute`` kernels only; the
-14th (``f_ts_delta_s``, the per-entity lag-1 timestamp delta with
-backfill 0.0) needs entity ordering and is added by
+Of the 13 stateless features, the word and average-word-length ones
+rest on two counts, RE2 ``\\S+`` runs and RE2 ``\\s`` (the ASCII bytes
+``[\\t\\n\\f\\r ]``), which ``util.byte_class_counts`` takes straight
+from the text's UTF-8 bytes; everything else uses ``pyarrow.compute``
+kernels. The 14th (``f_ts_delta_s``, the per-entity lag-1 timestamp
+delta with backfill 0.0) needs entity ordering and is added by
 ``stages.window.add_lag_delta`` after sessionize.
 """
 
@@ -20,6 +23,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from pystreamfs_ray.schema import LABEL_COL, STATELESS_FEATURE_COLS
+from pystreamfs_ray.util import RE2_SPACE, byte_class_counts
 
 _F64 = pa.float64()
 
@@ -32,12 +36,10 @@ def featurize_batch(batch: pa.Table) -> pa.Table:
     """Append the 13 stateless features + int8 label to a transcript batch."""
     text = batch["text"]
     chars = pc.cast(pc.utf8_length(text), _F64)
-    words = pc.cast(pc.count_substring_regex(text, r"\S+"), _F64)
-    # \S and \s partition every codepoint, so len - count(\s) ==
-    # count(\S) exactly — but whitespace is ~1/6 of the text, so the
-    # regex engine does ~6x fewer matches (this one count was 80% of
-    # the whole featurize stage)
-    nonspace = pc.subtract(chars, pc.cast(pc.count_substring_regex(text, r"\s"), _F64))
+    space, runs = byte_class_counts(text, RE2_SPACE)
+    words = pc.cast(runs, _F64)
+    # \S and \s partition every codepoint: count(\S) == len - count(\s)
+    nonspace = pc.subtract(chars, pc.cast(space, _F64))
     avg_word_len = pc.if_else(
         pc.equal(words, 0.0), pa.scalar(0.0), pc.divide(nonspace, pc.max_element_wise(words, 1.0))
     )

@@ -20,6 +20,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from pystreamfs_ray.util import RE2_SPACE, byte_class_counts
+
 _PART = "__part"
 
 
@@ -80,11 +82,11 @@ def pack_sequences(ds, *, seq_len: int = 512, id_col: str = "doc_id",
     ``[tok_start, tok_end)`` and the training sequences ("packs") it
     lands in (``pack_first..pack_last``; a doc crossing a boundary is
     split across those packs). ``tokens_col`` supplies precomputed
-    counts; otherwise tokens are ``\\S+`` runs of ``text_col`` counted
-    with a zero-copy Arrow kernel."""
+    counts; otherwise tokens are RE2 ``\\S+`` runs of ``text_col``
+    counted from its UTF-8 bytes (``util.byte_class_counts``)."""
     if tokens_col is None:
         def count(t: pa.Table) -> pa.Table:
-            n = pc.cast(pc.count_substring_regex(t[text_col], r"\S+"), pa.int64())
+            n = byte_class_counts(t[text_col], RE2_SPACE)[1]
             return t.append_column("n_tokens", n).drop_columns([text_col])
 
         ds = ds.map_batches(count, batch_format="pyarrow")

@@ -45,6 +45,80 @@ def bucket_array(keys, num_buckets: int) -> np.ndarray:
     return (h % np.uint64(num_buckets)).astype(np.int32)
 
 
+# the bytes RE2's ``\s`` matches: its Perl class is ASCII-only, so
+# ``\v``, NBSP, U+2028 and the other Unicode spaces are NOT whitespace
+RE2_SPACE = b"\t\n\f\r "
+
+
+def byte_class_counts(arr, byte_class: bytes):
+    """Per-row counts over a UTF-8 string array, read straight from its
+    offsets and data buffers: ``(bytes in byte_class, maximal runs of
+    bytes outside it)`` as int64 arrays, chunked like ``arr``; a null
+    row gives null counts.
+
+    ``byte_class`` must be ASCII. Every byte of a multi-byte UTF-8
+    sequence is ≥ 0x80, so a codepoint is in the class iff its single
+    byte is, and the counts equal RE2's ``count_substring_regex`` of
+    ``[class]`` and ``[^class]+`` — with ``RE2_SPACE`` the ``\\s`` and
+    ``\\S+`` counts. Temporaries per chunk are bool masks over the data
+    bytes and the positions of the counted bytes."""
+    cls = sorted(set(byte_class))
+    if not cls or cls[-1] >= 0x80:
+        raise ValueError(f"byte_class must be non-empty ASCII, got {byte_class!r}")
+    # the class as inclusive byte ranges: one subtract-and-compare each
+    # over the data is ~4x faster than a 256-entry lookup table
+    ranges = []
+    for b in cls:
+        if ranges and ranges[-1][1] == b - 1:
+            ranges[-1][1] = b
+        else:
+            ranges.append([b, b])
+
+    import pyarrow as pa
+
+    if isinstance(arr, pa.ChunkedArray):
+        pairs = [_byte_class_counts_chunk(c, ranges) for c in arr.chunks]
+        return tuple(pa.chunked_array([p[i] for p in pairs], type=pa.int64())
+                     for i in (0, 1))
+    return _byte_class_counts_chunk(arr, ranges)
+
+
+def _byte_class_counts_chunk(arr, ranges: list):
+    import pyarrow as pa
+
+    if pa.types.is_large_string(arr.type):
+        off_type = np.int64
+    elif pa.types.is_string(arr.type):
+        off_type = np.int32
+    else:
+        raise TypeError(f"expected string or large_string, got {arr.type}")
+    n = len(arr)
+    if n == 0:
+        empty = pa.array([], type=pa.int64())
+        return empty, empty
+    _, offsets, data = arr.buffers()
+    off = np.frombuffer(offsets, dtype=off_type)[arr.offset: arr.offset + n + 1]
+    lo = int(off[0])
+    d = (np.frombuffer(data, dtype=np.uint8)[lo: int(off[-1])]
+         if data is not None else np.empty(0, dtype=np.uint8))
+    bounds = off - lo
+    inside = np.zeros(len(d), dtype=bool)
+    for lo_b, hi_b in ranges:  # uint8 wrap-around: d - lo <= hi - lo
+        inside |= (d - np.uint8(lo_b)) <= np.uint8(hi_b - lo_b)
+    # a run starts at an outside byte that follows an inside byte or
+    # opens its row
+    starts = ~inside
+    starts[1:] &= inside[:-1]
+    first = bounds[:-1][bounds[:-1] < len(d)]
+    starts[first] = ~inside[first]
+    # per row [bounds[i], bounds[i+1]): difference of sorted-position ranks
+    in_class = np.diff(np.searchsorted(np.flatnonzero(inside), bounds))
+    runs = np.diff(np.searchsorted(np.flatnonzero(starts), bounds))
+    mask = arr.is_null().to_numpy(zero_copy_only=False) if arr.null_count else None
+    return (pa.array(in_class, type=pa.int64(), mask=mask),
+            pa.array(runs, type=pa.int64(), mask=mask))
+
+
 def content_hash64(values) -> np.ndarray:
     """Vectorized deterministic 64-bit content hash of a string array
     (SipHash, pinned key) — a PARTITIONER, not an identity: callers

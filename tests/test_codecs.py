@@ -122,6 +122,19 @@ def test_wav_error_paths():
         decode_wav(b"RIFF" + struct.pack("<I", 4) + b"WAVE")
 
 
+def test_wav_truncated_data_chunk():
+    """A data chunk whose declared size runs past the buffer raises,
+    as a truncated BMP does, instead of summing partial PCM."""
+    data = encode_wav_pcm16(np.arange(10, dtype=np.int16), 16000)
+    with pytest.raises(ValueError, match="truncated WAV data chunk"):
+        decode_wav(data[:-4])   # file cut short
+    grown = bytearray(data)
+    struct.pack_into("<I", grown, 40, 22)   # data declares 22 of 20 bytes
+    with pytest.raises(ValueError, match="declares 22 bytes, have 20"):
+        decode_wav(bytes(grown))
+    assert decode_wav(data)["n_samples"] == 10
+
+
 def test_synth_formulas_match_published_spec():
     px = synth_bmp_pixels(7)
     assert px.shape == (12 + (7 % 5) * 4, 16 + (7 % 8) * 4, 3)

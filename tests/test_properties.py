@@ -368,3 +368,48 @@ def test_fsds_short_first_window(k, n_first, seed):
             w_ref, ref = _fsds_update_unpatched(prior, X[lo:hi], k)
             assert np.array_equal(w, w_ref)
             assert np.array_equal(state["B"], ref["B"])
+
+
+@given(st.integers(2, 24), st.integers(0, 6), st.integers(1, 6),
+       st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_fsds_frequent_directions_error_bound(m, ell, n_windows, seed):
+    """The Frequent Directions guarantee ("Optimal Matrix Sketching over
+    Sliding Windows", VLDB 2024): with Y every window's rows stacked,
+    features as rows (m × N), and B the final m × ell sketch,
+    ‖YYᵀ − BBᵀ‖₂ ≤ ‖Y‖²_F / ell. Each update shrinks by its ell-th
+    σ² = δ and loses at least ell·δ of squared Frobenius mass, so the
+    δ's sum to at most ‖Y‖²_F / ell. Windows hold ≥ ell rows."""
+    kern = get_kernel("fsds")
+    rng = np.random.default_rng(seed)
+    state = kern.init_state(m, {"ell": min(ell, m)})  # 0 → ⌊√m⌋
+    ell = state["ell"]
+    # columns of very different scale, so a few directions dominate
+    scale = rng.lognormal(0.0, 1.5, size=m)
+    windows = [rng.normal(size=(int(rng.integers(ell, 3 * ell + 5)), m)) * scale
+               for _ in range(n_windows)]
+    for X in windows:
+        _, state = kern.update(state, X, None, k=1)
+    Y = np.vstack(windows).T
+    B = state["B"]
+    assert B.shape == (m, ell)
+    err = np.linalg.norm(Y @ Y.T - B @ B.T, ord=2)
+    assert err <= np.linalg.norm(Y, "fro") ** 2 / ell * (1 + 1e-9)
+
+
+def test_fsds_error_bound_on_late_direction():
+    """A stream on which a sketch that only truncates (no shrink) breaks
+    the bound: one heavy window in e1, e2, then 30 light windows in e3.
+    Truncation keeps e1, e2 and drops every e3 row (error 30 > 50 / 2);
+    the shrink empties the sketch after the first window and keeps e3."""
+    kern = get_kernel("fsds")
+    state = kern.init_state(3, {"ell": 2})
+    heavy = np.sqrt(10.0) * np.array([[1.0, 0, 0], [0, 1, 0]])
+    light = np.array([[0, 0, 1.0], [0, 0, 0]])   # windows hold >= ell rows
+    windows = [heavy] + [light] * 30
+    for X in windows:
+        _, state = kern.update(state, X, None, k=1)
+    Y, B = np.vstack(windows).T, state["B"]
+    err = np.linalg.norm(Y @ Y.T - B @ B.T, ord=2)
+    assert np.isclose(err, 10.0)
+    assert err <= np.linalg.norm(Y, "fro") ** 2 / 2

@@ -4541,6 +4541,60 @@ def test_embedding_anomaly_zero_variance_dim(ray_session, tmp_path):
     assert 4 < got["anomaly_ppm"].mean() / 1e6 < 10
 
 
+def _embedding_anomaly_both(tmp_path, X):
+    """q_embedding_anomaly and its DuckDB oracle on a tmp fixture of
+    embeddings ``X``: ``(engine frame or error, oracle frame or error)``."""
+    import duckdb
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from pystreamfs_ray.pipelines.queries import q_embedding_anomaly
+    from tests.test_entry_contract import _entry_module
+
+    path = tmp_path / "embeddings.parquet"
+    pq.write_table(pa.table({
+        "vec_id": pa.array(range(len(X)), type=pa.int64()),
+        "embedding": pa.array([list(map(float, r)) for r in X],
+                              type=pa.list_(pa.float32())),
+        "label": pa.array([0] * len(X), type=pa.int32()),
+    }), str(path))
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW embeddings AS SELECT * FROM read_parquet('{path}')")
+    out = []
+    for run in (lambda: q_embedding_anomaly(str(tmp_path)).to_pandas(),
+                lambda: con.execute(
+                    _entry_module().oracle_sql()["q_embedding_anomaly"]).df()):
+        try:
+            out.append(run().sort_values("vec_id", ignore_index=True))
+        except Exception as e:  # noqa: BLE001 — the error is the result
+            out.append(e)
+    return out
+
+
+def test_embedding_anomaly_near_constant_dim(ray_session, tmp_path):
+    """A near-constant dimension (b_int = n·Σq² − (Σq)² = 1, which takes
+    two vectors one grid step apart) cannot blow a term up: a² ≤ (n−1)·b
+    bounds each term by (n−1)·10⁶, so each vector scores exactly 10⁶
+    per dimension where the two differ, as the oracle does."""
+    X = np.zeros((2, 4), dtype=np.float32)
+    X[1, 0] = 1 / 4096      # b_int = 1
+    X[1, 1] = 3.0           # b_int = (3·4096)²
+    got, want = _embedding_anomaly_both(tmp_path, X)
+    assert got["anomaly_ppm"].tolist() == [2_000_000, 2_000_000]
+    assert got["anomaly_ppm"].tolist() == want["anomaly_ppm"].tolist()
+
+
+def test_embedding_anomaly_raises_where_int64_would_wrap(ray_session, tmp_path):
+    """Values whose squared grid points pass 2^63 would wrap the int64
+    power sums into garbage scores; the engine raises instead, as the
+    oracle's BIGINT arithmetic does on the same input."""
+    X = np.random.default_rng(5).normal(0, 1, size=(20, 4)).astype(np.float32)
+    X[7, 2] = 1e9           # q ≈ 4.1e12 → q² ≈ 1.7e25
+    got, want = _embedding_anomaly_both(tmp_path, X)
+    assert "2^63" in str(got)
+    assert isinstance(want, Exception)
+
+
 def test_markov_baseline_planted_chain(ray_session, tmp_path):
     """A deterministic A→B chain scores 100% for A; ties break
     lexicographically."""
