@@ -47,14 +47,6 @@ SKIP_QUERIES = os.environ.get("BENCH_SKIP_QUERIES") == "1"
 HEADLINE_KERNELS = ["ofs", "efs", "fsds"]
 EVAL_HISTORY = 10_000
 MEGA_TURNS = 10_000
-# entities above this turn count route their eval through the salted
-# evaluator (0 disables the skew router). Default OFF on this single
-# node: the router removes the mega-conv straggler from the selector
-# stage (measured 16.6 → 12.4 s wall, max task 6.8 → 5.1 s) but its
-# counts pass + salted-eval phase run SERIALLY after the selector here,
-# eating the gain; on a multi-node cluster the salted eval's CPU·s
-# spread across otherwise-idle nodes and the router wins (BASELINE.md).
-SALT_THRESHOLD = int(os.environ.get("BENCH_SALT_THRESHOLD", "0"))
 # memory-probe cadence: the ~10 µs /proc read per window is ~2.5% of
 # selector wall at cadence 1; the headline samples every 16th window
 # (mem_bytes repeats the last sample in between — RSS moves far slower
@@ -193,20 +185,12 @@ def run_bench() -> dict:
     def one_headline() -> tuple[float, int, object]:
         t0 = time.perf_counter()
         # kernel folds + inline prequential eval (sequential per entity,
-        # parallel across entities). The salted two-phase alternative
-        # (stages/evaluate.evaluate_windows) trades an extra shuffle for
-        # straggler-free mega-entities — the right call on a real cluster
-        # with big hot keys, slower on this single node (see BASELINE.md).
-        # skew router: mega-conversations (>SALT_THRESHOLD turns) keep
-        # their kernel fold inline but their prequential eval — the
-        # straggler term, measured max task 6.6s vs 2.8s mean without it —
-        # re-runs through the salted parallel evaluator, bit-identical
+        # parallel across entities)
         windows = feature_windows(
             read_parquet(dirs["transcripts"], override_num_blocks=read_blocks),
             kernel=HEADLINE_KERNELS, batch_size=50, num_features=5,
             num_buckets=num_buckets, concurrency=None,
             evaluate="knn", max_history=EVAL_HISTORY,
-            salt_eval_threshold=SALT_THRESHOLD, salt_chunk_windows=25,
             mem_probe_every=MEM_PROBE_EVERY,
         ).materialize()
         # join sides are small (labels + window rows): coalesce to a few

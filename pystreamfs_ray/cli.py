@@ -42,11 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--concurrency", type=int, default=None,
                    help="actor-pool size for the selector stage (default: tasks)")
     p.add_argument("--checkpoint-dir", default=None)
-    p.add_argument("--salt-threshold", type=int, default=None,
-                   help="entities with more turns than this route their "
-                        "prequential eval through the salted parallel "
-                        "evaluator (skew router for mega-conversations; "
-                        "requires --evaluate and --max-history)")
     p.add_argument("--num-cpus", type=int, default=None,
                    help="ray.init num_cpus when starting a fresh local session")
     return p
@@ -82,11 +77,9 @@ def main(argv=None) -> int:
         evaluate=args.evaluate, max_history=args.max_history,
         num_buckets=args.num_buckets,
         concurrency=args.concurrency, checkpoint_dir=args.checkpoint_dir,
-        salt_eval_threshold=args.salt_threshold,
     )
 
     os.makedirs(args.out, exist_ok=True)
-    windows = windows.materialize()
     windows.write_parquet(os.path.join(args.out, "windows"))
     n_joined = 0
     if joined is not None:

@@ -1184,7 +1184,7 @@ def q_decode_media(sf_dir: str):
     from pystreamfs_ray.stages.multimodal import decode_features, synth_media_table
 
     media = rd.from_arrow(synth_media_table(500, seed=21))
-    return decode_features(media, fake=True, concurrency=2, batch_size=64)
+    return decode_features(media, concurrency=2, batch_size=64)
 
 
 def q_decode_bmp(sf_dir: str):

@@ -18,6 +18,11 @@ events-derived ones) — that is what lets a row know its window without
 a prior global sort.
 
 Output: one row per (kernel, conv_id, window_id) with ``acc``.
+
+A standalone operator (driver query ``q_eval_salted``): the flagship
+pipeline evaluates inline in the selector fold, because routing the
+mega-conversations' eval through this stage lost end to end on every
+machine it was measured on (SCALE.md, "Eval skew router").
 """
 
 from __future__ import annotations

@@ -6,11 +6,10 @@ stages with SMALL batch sizes (payloads are big — batch × concurrency
 must fit worker heap; see the memory notes in SURVEY.md §4).
 
 COMPRESSED formats (JPEG/MP3/MP4) need codec libraries the sandbox
-lacks, so that decode step is STUBBED: ``DecodeStub(fake=True)``
-produces deterministic pseudo-decoded features from the payload bytes
-(hash-derived width/height/duration, mean byte value); ``fake=False``
-raises ``NotImplementedError`` with the library it would use. The
-Ray-side plumbing — schema, actor signature, batch sizing, output
+lacks, so that decode step is STUBBED: ``DecodeStub`` produces
+deterministic pseudo-decoded features from the payload bytes
+(hash-derived width/height/duration, mean byte value). The Ray-side
+plumbing — schema, actor signature, batch sizing, output
 layout — is real and tested.
 
 UNCOMPRESSED containers decode for REAL: ``stages/codecs.py`` parses
@@ -58,20 +57,10 @@ def synth_media_table(n: int, seed: int = 21, payload_bytes: int = 2048) -> pa.T
 
 
 class DecodeStub:
-    """Actor-pool decode stage. ``fake=True`` → deterministic pseudo
-    decode; ``fake=False`` → NotImplementedError naming the real codec
-    dependency (Pillow / torchaudio / pyav), which this container lacks.
-    """
-
-    def __init__(self, fake: bool = True):
-        self.fake = fake
+    """Actor-pool decode stage: deterministic pseudo decode (a real one
+    needs Pillow / torchaudio / pyav)."""
 
     def _decode_one(self, kind: str, payload: bytes) -> tuple[float, float, float, float]:
-        if not self.fake:
-            raise NotImplementedError(
-                "real decode requires Pillow/torchaudio/pyav (not in container); "
-                "run with fake=True for the deterministic stub"
-            )
         h = hashlib.blake2b(payload, digest_size=16).digest()
         width = 64 + h[0] % 192          # pseudo pixel / sample geometry
         height = 64 + h[1] % 192
@@ -94,30 +83,25 @@ class DecodeStub:
         )
 
 
-def decode_features(ds, *, fake: bool = True, concurrency=2, batch_size: int = 64):
+def decode_features(ds, *, concurrency=2, batch_size: int = 64):
     """Binary payloads → numeric features; small batches on purpose."""
     return ds.map_batches(
         DecodeStub, batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency, fn_constructor_args=(fake,),
+        concurrency=concurrency,
     )
 
 
 class ResizeStub:
     """Actor-pool image-resize stage. Real resize needs Pillow
-    (absent); ``fake=True`` performs a deterministic byte-level
+    (absent); this stage performs a deterministic byte-level
     downsample (strided slice to the target byte budget) so the
     plumbing — binary in, binary out, metadata updated, non-image rows
     passed through untouched — is real and testable."""
 
-    def __init__(self, width: int = 64, height: int = 64, fake: bool = True):
-        self.width, self.height, self.fake = width, height, fake
+    def __init__(self, width: int = 64, height: int = 64):
+        self.width, self.height = width, height
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        if not self.fake:
-            raise NotImplementedError(
-                "real resize requires Pillow (not in container); "
-                "run with fake=True for the deterministic stub"
-            )
         budget = max(1, (self.width * self.height) // 64)
         kinds = t["kind"].to_pylist()
         payloads = t["payload"].to_pylist()
@@ -136,34 +120,28 @@ class ResizeStub:
         )
 
 
-def resize_images(ds, *, width: int = 64, height: int = 64, fake: bool = True,
+def resize_images(ds, *, width: int = 64, height: int = 64,
                   concurrency=2, batch_size: int = 64):
     """Image payloads → resized payloads (small batches: payload bytes
     dominate the block)."""
     return ds.map_batches(
         ResizeStub, batch_format="pyarrow", batch_size=batch_size,
         concurrency=concurrency,
-        fn_constructor_args=(width, height, fake),
+        fn_constructor_args=(width, height),
     )
 
 
 class FrameSampleStub:
     """Actor-pool video frame sampler: one input video row →
     one OUTPUT ROW PER SAMPLED FRAME (the flat-map shape real
-    pyav-based sampling would have). ``fake=True`` derives the frame
+    pyav-based sampling would have). The stub derives the frame
     count from the stub duration (same hash as DecodeStub) and slices
     the payload per frame; non-video rows are dropped."""
 
-    def __init__(self, every_s: float = 1.0, max_frames: int = 16,
-                 fake: bool = True):
-        self.every_s, self.max_frames, self.fake = every_s, max_frames, fake
+    def __init__(self, every_s: float = 1.0, max_frames: int = 16):
+        self.every_s, self.max_frames = every_s, max_frames
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        if not self.fake:
-            raise NotImplementedError(
-                "real frame sampling requires pyav (not in container); "
-                "run with fake=True for the deterministic stub"
-            )
         ids, kinds = t["media_id"].to_pylist(), t["kind"].to_pylist()
         payloads = t["payload"].to_pylist()
         out_id, out_fi, out_ts, out_fp = [], [], [], []
@@ -188,11 +166,11 @@ class FrameSampleStub:
 
 
 def sample_frames(ds, *, every_s: float = 1.0, max_frames: int = 16,
-                  fake: bool = True, concurrency=2, batch_size: int = 32):
+                  concurrency=2, batch_size: int = 32):
     """Video payloads → per-frame rows (row-expanding stage: batches
     kept SMALL because output bytes ≈ input bytes × frames)."""
     return ds.map_batches(
         FrameSampleStub, batch_format="pyarrow", batch_size=batch_size,
         concurrency=concurrency,
-        fn_constructor_args=(every_s, max_frames, fake),
+        fn_constructor_args=(every_s, max_frames),
     )

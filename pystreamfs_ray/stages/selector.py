@@ -73,7 +73,6 @@ class BucketSelector:
         streaming: bool = False,
         flush: bool = True,
         load_state: bool = False,
-        skip_eval_ids: frozenset | None = None,
         mem_probe_every: int = 1,
     ):
         # actor-pool setup: resolve kernels once per actor, not per batch.
@@ -105,12 +104,6 @@ class BucketSelector:
         self.streaming = streaming
         self.flush = flush
         self.load_state = load_state
-        # skew routing: entities in this set keep their kernel fold inline
-        # (state is sequential by contract) but SKIP the inline prequential
-        # eval — a mega-conversation's eval is the straggler term; the
-        # caller re-evaluates those windows with the salted parallel
-        # evaluator (stages/evaluate.py) and patches acc back, bit-equal
-        self.skip_eval_ids = skip_eval_ids or frozenset()
         # memory-probe cadence: 1 = one /proc read per window (reference
         # parity, pystreamfs.py:74); k>1 probes every k-th window per
         # fold and repeats the last sample in between — RSS varies far
@@ -257,8 +250,7 @@ class BucketSelector:
             stop = X.shape[0] if (not self.streaming or self.flush) else n_full
 
             hist_n = hist_X.shape[0]
-            eval_this = self.evaluate and cid not in self.skip_eval_ids
-            if eval_this:
+            if self.evaluate:
                 # one concatenate + one float32 cast per entity; every
                 # window slices views of it (the float32 copy halves the
                 # per-window gather traffic; values are identical to
@@ -275,7 +267,7 @@ class BucketSelector:
                 else:
                     state = kernel.init_state(X.shape[1], self.kernel_params)
                     prev_sel = None
-                model = MODELS[self.evaluate]() if eval_this else None
+                model = MODELS[self.evaluate]() if self.evaluate else None
                 mem = None
                 for wid, i in enumerate(range(0, stop, bs)):
                     gwid = wid0 + wid
@@ -401,7 +393,6 @@ def run_selector(
     streaming: bool = False,
     flush: bool = True,
     load_state: bool = False,
-    skip_eval_ids: frozenset | None = None,
     mem_probe_every: int = 1,
 ):
     """features Dataset → selector-output Dataset (one shuffle)."""
@@ -409,7 +400,6 @@ def run_selector(
         streaming=streaming,
         flush=flush,
         load_state=load_state,
-        skip_eval_ids=skip_eval_ids,
         mem_probe_every=mem_probe_every,
         kernel=kernel,
         batch_size=batch_size,

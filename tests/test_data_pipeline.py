@@ -323,19 +323,16 @@ def test_multimodal_stub(ray_session):
     import ray.data as rd
 
     media = M.synth_media_table(100, seed=21)
-    out = M.decode_features(rd.from_arrow(media), fake=True, concurrency=2,
+    out = M.decode_features(rd.from_arrow(media), concurrency=2,
                             batch_size=16).to_pandas()
     assert len(out) == 100
     assert "payload" not in out.columns  # bytes dropped after decode
     assert ((out["width"] >= 64) & (out["width"] < 256)).all()
     # deterministic decode
-    out2 = M.decode_features(rd.from_arrow(media), fake=True).to_pandas()
+    out2 = M.decode_features(rd.from_arrow(media)).to_pandas()
     a = out.sort_values("media_id")["mean_val"].to_numpy()
     b = out2.sort_values("media_id")["mean_val"].to_numpy()
     assert np.array_equal(a, b)
-    # non-fake path is explicitly stubbed
-    with pytest.raises(NotImplementedError):
-        M.DecodeStub(fake=False)._decode_one("image", b"xx")
 
 
 def test_ngram_jaccard_pairs_exact(ray_session):
@@ -462,9 +459,6 @@ def test_multimodal_resize_and_frames(ray_session):
     a = frames.sort_values(["media_id", "frame_idx"], ignore_index=True)
     b = frames2.sort_values(["media_id", "frame_idx"], ignore_index=True)
     pd.testing.assert_frame_equal(a, b)
-
-    with pytest.raises(Exception, match="Pillow"):
-        M.resize_images(ds, fake=False, concurrency=1).materialize()
 
 
 def test_quality_langid_batch_equals_scalar():

@@ -192,42 +192,6 @@ def test_hll_alpha_branches():
     assert est64 == pytest.approx(want64)
 
 
-def test_skew_router_bit_equal(ray_session, tmp_path):
-    """The eval skew router (salt_eval_threshold) keeps mega-entity
-    kernel folds inline but re-runs their prequential eval through the
-    salted parallel evaluator and patches acc back — outputs must be
-    BIT-equal to the all-inline run (north-rule: explicit salting for
-    skewed mega-conversations)."""
-    import numpy as np
-
-    from pystreamfs_ray.pipelines.flagship import _entities_above, feature_windows
-    from pystreamfs_ray.sources import read_parquet
-    from pystreamfs_ray.synth import build_fixture
-
-    dirs = build_fixture(str(tmp_path / "fix"), n_convs=60, seed=7,
-                         mega_convs=1, n_files=2, mega_turns=600)
-    ds = read_parquet(dirs["transcripts"])
-
-    # detector matches the exact ground-truth count filter
-    truth = ds.select_columns(["conv_id"]).to_pandas()["conv_id"].value_counts()
-    mega = _entities_above(ds.select_columns(["conv_id"]), "conv_id", 300)
-    assert mega == frozenset(truth[truth > 300].index)
-    assert len(mega) >= 1
-
-    kw = dict(kernel=["ofs", "efs"], batch_size=50, num_features=5,
-              num_buckets=4, evaluate="knn", max_history=500)
-    key = ["kernel", "conv_id", "window_id"]
-    a = (feature_windows(ds, **kw).to_pandas()
-         .sort_values(key, ignore_index=True))
-    b = (feature_windows(ds, salt_eval_threshold=300, salt_chunk_windows=3,
-                         **kw).to_pandas().sort_values(key, ignore_index=True))
-    assert (a[key].values == b[key].values).all()
-    np.testing.assert_allclose(a["acc"].to_numpy(), b["acc"].to_numpy(),
-                               rtol=0, atol=0)
-    np.testing.assert_allclose(np.concatenate(a["w"].to_numpy()),
-                               np.concatenate(b["w"].to_numpy()))
-
-
 def test_rrf_fuse_semantics():
     """RRF: score = Σ 1/(k+rank); ties break on id; n_lists counts the
     lists that surfaced the id (Cormack & Clarke 2009)."""

@@ -1,31 +1,9 @@
-"""Round-4 additions: scale-sound skew detector, grouped-quantile
-sketch path, streaming skew router, new operator queries."""
+"""Round-4 additions: grouped-quantile sketch path, memory-probe
+cadence, new operator queries."""
 
 import numpy as np
 import pandas as pd
 import pytest
-
-
-def test_entities_above_256_blocks(ray_session):
-    """The round-3 detector pigeonholed on an assumed <=64 blocks; an
-    entity spread thinly over 256 blocks (4 rows/block, 1024 total)
-    slipped under its per-block cutoff. The bounded-summary detector
-    (undercount <= n/k) must find it regardless of block count."""
-    import ray
-
-    from pystreamfs_ray.pipelines.flagship import _entities_above
-
-    rng = np.random.default_rng(5)
-    frames = []
-    for _ in range(256):
-        ids = [f"u{int(i)}" for i in rng.integers(0, 5000, size=60)]
-        ids += ["mega"] * 4
-        frames.append(pd.DataFrame({"conv_id": ids}))
-    ds = ray.data.from_pandas(frames)
-    got = _entities_above(ds, "conv_id", 800)
-    truth = pd.concat(frames)["conv_id"].value_counts()
-    assert got == frozenset(truth[truth > 800].index)
-    assert "mega" in got
 
 
 def _gq_fixture(seed=3, hot_n=30000, n_small=40):
@@ -85,58 +63,6 @@ def test_grouped_quantiles_sketch_error_bound(ray_session):
             assert lo - 1e-6 <= got[nm] <= hi + 1e-6, (split, nm, got[nm], lo, hi)
 
 
-def test_skew_router_streaming_resume_bit_equal(ray_session, tmp_path):
-    """Round-4: the eval skew router now works across a streaming
-    kill/resume boundary — mega-entity eval history + pending rows are
-    reconstructed from the bucket state, so the salted two-run output
-    is BIT-equal to the inline two-run output (which itself equals the
-    one-shot run by test_streaming_continue)."""
-    import glob
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from pystreamfs_ray.pipelines.flagship import feature_windows
-    from pystreamfs_ray.synth import build_fixture
-
-    dirs = build_fixture(str(tmp_path / "fix"), n_convs=40, seed=13,
-                         mega_convs=1, n_files=2, mega_turns=600)
-    t = pa.concat_tables([pq.read_table(p) for p in
-                          sorted(glob.glob(dirs["transcripts"] + "/*.parquet"))])
-    df = t.to_pandas()
-    cut = df.groupby("conv_id")["turn_idx"].transform(lambda s: int(len(s) * 0.45))
-    parts = [pa.Table.from_pandas(df[df["turn_idx"] < cut], preserve_index=False),
-             pa.Table.from_pandas(df[df["turn_idx"] >= cut], preserve_index=False)]
-
-    key = ["kernel", "conv_id", "window_id"]
-
-    def two_run(tag, **salt_kw):
-        ckpt = str(tmp_path / f"ckpt_{tag}")
-        o1 = feature_windows(
-            rd.from_arrow(parts[0]), kernel=["ofs"], batch_size=20,
-            num_features=5, num_buckets=4, evaluate="knn", max_history=60,
-            streaming=True, flush=False, checkpoint_dir=ckpt, **salt_kw,
-        ).to_pandas()
-        o2 = feature_windows(
-            rd.from_arrow(parts[1]), kernel=["ofs"], batch_size=20,
-            num_features=5, num_buckets=4, evaluate="knn", max_history=60,
-            streaming=True, flush=True, load_state=True, checkpoint_dir=ckpt,
-            **salt_kw,
-        ).to_pandas()
-        return (pd.concat([o1, o2], ignore_index=True)
-                .sort_values(key, ignore_index=True))
-
-    inline = two_run("inline")
-    salted = two_run("salted", salt_eval_threshold=250, salt_chunk_windows=3)
-    assert (inline[key].values == salted[key].values).all()
-    np.testing.assert_array_equal(inline["acc"].to_numpy(),
-                                  salted["acc"].to_numpy())
-    # the mega entity was actually routed (sanity: threshold crossed)
-    counts = df["conv_id"].value_counts()
-    assert (counts > 250).any()
-
-
 def test_mem_probe_sampling_cadence(ray_session, synth_dirs):
     """mem_probe_every > 1 changes ONLY the mem_bytes sampling cadence:
     every window still carries a (non-null) sample and all other output
@@ -167,25 +93,6 @@ def test_mem_probe_sampling_cadence(ray_session, synth_dirs):
                 assert ((va == vb) | (np.isnan(va) & np.isnan(vb))).all(), col
             else:
                 assert (va == vb).all(), col
-
-
-def test_entities_above_matches_truth_random(ray_session):
-    """Detector == ground-truth filter on a skewed random fixture, for
-    several thresholds (no false positives either — pass 2 is exact)."""
-    import ray
-
-    from pystreamfs_ray.pipelines.flagship import _entities_above
-
-    rng = np.random.default_rng(11)
-    # zipf-ish: a few heavy ids + long tail
-    ids = ["h%d" % i for i in rng.zipf(1.3, size=20000) % 50]
-    df = pd.DataFrame({"conv_id": ids})
-    ds = ray.data.from_pandas([df.iloc[i::7].reset_index(drop=True)
-                               for i in range(7)])
-    truth = df["conv_id"].value_counts()
-    for thr in (50, 500, 5000):
-        got = _entities_above(ds, "conv_id", thr)
-        assert got == frozenset(truth[truth > thr].index), thr
 
 
 def test_heavy_hitters_two_pass_and_fallback(ray_session):
@@ -1248,7 +1155,10 @@ def test_quantile_bounds_string_keys():
 
 def test_pq_recall_and_determinism(ray_session):
     """PQ ADC search: recall@10 vs float exact stays useful at the
-    ~64× compression point (m=8 × 16 codes over 64 dims), the encode
+    32× compression point of ``q_ann_pq`` (m=16 × 256 codes over 64
+    float64 dims: 16 uint8 codes per 512-byte row). On sf0.001 it
+    measures a mean recall@10 of 0.84 (same in repeated runs; per-query
+    minimum 0.7), gated at 0.8. The encode
     is deterministic across batch layouts, and a full-resolution
     codebook (n_codes >= sample) reconstructs exact ranking on a
     separable fixture."""
@@ -1261,7 +1171,7 @@ def test_pq_recall_and_determinism(ray_session):
     rec = q_ann_pq("/root/testdata/sf0.001")
     rec = rec.to_pandas() if hasattr(rec, "to_pandas") else rec
     assert len(rec) > 0
-    assert rec["recall"].mean() >= 0.6, rec["recall"].mean()
+    assert rec["recall"].mean() >= 0.8, rec["recall"].mean()
 
     # determinism: same codes whether the corpus arrives as 2 or 7 blocks
     rng = np.random.default_rng(3)
