@@ -189,7 +189,7 @@ def run_bench() -> dict:
         windows = feature_windows(
             read_parquet(dirs["transcripts"], override_num_blocks=read_blocks),
             kernel=HEADLINE_KERNELS, batch_size=50, num_features=5,
-            num_buckets=num_buckets, concurrency=None,
+            num_buckets=num_buckets,
             evaluate="knn", max_history=EVAL_HISTORY,
             mem_probe_every=MEM_PROBE_EVERY,
         ).materialize()

@@ -87,8 +87,7 @@ def main(sf_dir: str = "/root/testdata/sf0.001") -> None:
     qdf = emb.filter(expr="vec_id == 0").to_pandas()
     qmat = np.stack([np.asarray(v, dtype=np.float64)
                      for v in qdf["embedding"]])
-    ann = (brute_force_topk(emb, qdf["vec_id"].to_numpy(), qmat, k=20,
-                            concurrency=2)
+    ann = (brute_force_topk(emb, qdf["vec_id"].to_numpy(), qmat, k=20)
            .to_pandas().rename(columns={"vec_id": "doc_id"}))
     fused = rrf_fuse([bm_top, ann], topk=5)
     print("RRF top-5 doc ids:", list(fused["doc_id"]))

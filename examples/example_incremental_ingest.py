@@ -82,7 +82,7 @@ def main(sf_dir: str = "/root/testdata/sf0.001",
     # ---- run 0: bootstrap both indexes from the first batch ----------
     first = docs.map_batches(batch_of("train"), batch_format="pandas")
     fingerprint_index(first).write_parquet(index_dir)
-    minhash_signatures(first, concurrency=1).write_parquet(sig_dir)
+    minhash_signatures(first).write_parquet(sig_dir)
     n_idx = read_index().count()
     print(f"bootstrap: {n_idx} fingerprints -> {index_dir}")
 
@@ -98,14 +98,14 @@ def main(sf_dir: str = "/root/testdata/sf0.001",
         # banding — the corpus's internal pairs are never formed)
         near = incremental_minhash_pairs(
             kept.select_columns(["doc_id", "text"]), read_sigs(),
-            threshold=0.5, concurrency=1, num_partitions=2).materialize()
+            threshold=0.5, num_partitions=2).materialize()
         n_near = near.count()
         kept.write_parquet(os.path.join(kept_dir, f"run={run}"))
         # union the new fingerprints + signatures in for the next run
         new_fps = fingerprint_index(kept.select_columns(["doc_id", "text"]))
         new_fps.write_parquet(index_dir)  # appends new files to the dir
-        minhash_signatures(kept.select_columns(["doc_id", "text"]),
-                           concurrency=1).write_parquet(sig_dir)
+        minhash_signatures(kept.select_columns(["doc_id", "text"])
+                           ).write_parquet(sig_dir)
         n_idx = rd.read_parquet(index_dir).count()
         print(f"run {run} ({batch_name}): kept {n_kept} new docs "
               f"({n_near} flagged as near-dups of the corpus), "

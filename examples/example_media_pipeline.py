@@ -3,9 +3,9 @@ retrieval — the two round-5 capabilities end to end.
 
 1. Synthesize genuine BMP (BI_RGB 24bpp) and RIFF/WAVE PCM16 payloads
    from published pixel/sample formulas (no codec library involved).
-2. Decode them back with the pure-numpy parsers as actor-pool
-   ``map_batches`` stages (small batches — payload × batch ×
-   concurrency bounded), yielding exact integer stats per media.
+2. Decode them back with the pure-numpy parsers as task
+   ``map_batches`` stages (small batches — payload × batch bounded),
+   yielding exact integer stats per media.
 3. Cross-check a sample against the formulas (the same check the
    DuckDB oracles of q_decode_bmp / q_decode_wav run corpus-wide).
 4. Bonus: MMR diversity selection over the embeddings table — pick a
@@ -41,11 +41,11 @@ def main(sf_dir: str = "/root/testdata/sf0.001") -> None:
     # --- 1+2: synthesize real containers, decode them distributed ---
     bmp = (decode_bmp_features(
         rd.from_arrow(synth_codec_table(120, "bmp")).repartition(6),
-        concurrency=2, batch_size=32).to_pandas()
+        batch_size=32).to_pandas()
         .set_index("media_id").sort_index())
     wav = (decode_wav_features(
         rd.from_arrow(synth_codec_table(120, "wav")).repartition(6),
-        concurrency=2, batch_size=32).to_pandas()
+        batch_size=32).to_pandas()
         .set_index("media_id").sort_index())
     print(f"decoded {len(bmp)} BMP images, {len(wav)} WAV clips")
 
@@ -68,8 +68,8 @@ def main(sf_dir: str = "/root/testdata/sf0.001") -> None:
                        columns=["vec_id", "embedding"])
     qvec = np.asarray(
         emb.take(1)[0]["embedding"], dtype=np.float64)
-    topk = mmr_select(emb, qvec, k=8, lam=1.0, concurrency=2)
-    diverse = mmr_select(emb, qvec, k=8, lam=0.6, concurrency=2)
+    topk = mmr_select(emb, qvec, k=8, lam=1.0)
+    diverse = mmr_select(emb, qvec, k=8, lam=0.6)
     overlap = len(set(topk["vec_id"]) & set(diverse["vec_id"]))
     print(f"MMR diverse top-8 vs pure top-8 overlap: {overlap}/8 "
           f"(lambda=0.6 trades relevance for spread)")

@@ -55,9 +55,8 @@ def main(sf_dir: str = "/root/testdata/sf0.001",
     qmat = np.stack([np.asarray(v, dtype=np.float64)
                      for v in qdf["embedding"]])
 
-    approx = int8_topk(idx, qids, qmat, k=10, concurrency=2).to_pandas()
-    exact = brute_force_topk(emb, qids, qmat, k=10,
-                             concurrency=2).to_pandas()
+    approx = int8_topk(idx, qids, qmat, k=10).to_pandas()
+    exact = brute_force_topk(emb, qids, qmat, k=10).to_pandas()
 
     recalls = []
     for qid in qids:

@@ -8,8 +8,8 @@ Parquet tables of multi-turn conversation transcripts:
 - sessionize / time-order per entity (``conv_id``)
 - tumbling & sliding count windows, lag/lead, backfill
 - five online feature-selection kernels (OFS, FSDS, MCNN, CancelOut, EFS)
-  run as per-entity sequential folds inside parallel group tasks / actor
-  pools (state threaded window-to-window, exactly like the reference's
+  run as per-entity sequential folds inside parallel group tasks
+  (state threaded window-to-window, exactly like the reference's
   ``simulate_stream`` loop — see ``/root/reference/pystreamfs/pystreamfs.py:59-90``)
 - as-of (point-in-time) join of window features onto label timestamps
   with zero temporal leakage

@@ -39,8 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[None, "knn", "logistic", "tree", "svm"])
     p.add_argument("--max-history", type=int, default=None)
     p.add_argument("--num-buckets", type=int, default=64)
-    p.add_argument("--concurrency", type=int, default=None,
-                   help="actor-pool size for the selector stage (default: tasks)")
     p.add_argument("--checkpoint-dir", default=None)
     p.add_argument("--num-cpus", type=int, default=None,
                    help="ray.init num_cpus when starting a fresh local session")
@@ -76,7 +74,7 @@ def main(argv=None) -> int:
         batch_size=args.batch_size, num_features=args.num_features,
         evaluate=args.evaluate, max_history=args.max_history,
         num_buckets=args.num_buckets,
-        concurrency=args.concurrency, checkpoint_dir=args.checkpoint_dir,
+        checkpoint_dir=args.checkpoint_dir,
     )
 
     os.makedirs(args.out, exist_ok=True)

@@ -94,9 +94,8 @@ def main(argv=None) -> int:
             deduped = deduped.rename_columns({text_col: "text"})
             text_col = "text"
 
-    tagged = lang_id(quality_score(deduped, concurrency=None,
-                                   text_col=text_col),
-                     concurrency=None, text_col=text_col)
+    tagged = lang_id(quality_score(deduped, text_col=text_col),
+                     text_col=text_col)
     kept = tagged.filter(
         expr=f"pred_lang == '{args.lang}' and "
              f"quality_score >= {args.quality_min}")

@@ -21,25 +21,17 @@ from ray.data.aggregate import Count, Sum
 
 
 def curate_corpus(docs, *, lang: str = "en", quality_min: float = 0.3,
-                  source_col: str = "source", concurrency=None):
+                  source_col: str = "source"):
     """docs: (doc_id, text, source). Returns one row per source:
     (source, n_docs, total_tokens, avg_quality) over the deduped,
     language-filtered, quality-filtered corpus."""
     from pystreamfs_ray.stages.dedup import exact_dedup
     from pystreamfs_ray.stages.textstats import lang_id, quality_score, token_stats
 
-    # concurrency=None → quality/lang run as STATELESS TASK stages:
-    # they fuse with the dedup shuffle's reduce output at full
-    # parallelism. An actor pool here would (a) cap the fused stage at
-    # the pool size (Ray fuses the groupby reduce into the next stage —
-    # measured 2 tasks / 28s vs 64 tasks / 3s at sf0.1) and (b) risk
-    # deadlock on small sessions when two fixed pools exhaust the CPUs.
-    # If an int is passed, make the pools autoscaling from 1 for (b).
-    if isinstance(concurrency, int):
-        concurrency = (1, max(1, concurrency))
+    # quality/lang run as stateless task stages, so they fuse with the
+    # dedup shuffle's reduce output at full parallelism
     deduped = exact_dedup(docs, extra_cols=(source_col,))
-    tagged = lang_id(quality_score(deduped, concurrency=concurrency),
-                     concurrency=concurrency)
+    tagged = lang_id(quality_score(deduped))
     kept = tagged.filter(
         expr=f"pred_lang == '{lang}' and quality_score >= {quality_min}"
     )

@@ -7,7 +7,7 @@ Stages and shuffles:
    featurizer (Arrow, zero-copy);
 2. shuffle #1: hash-bucket entities → per-bucket stable sort, lag
    features, tumbling windows, sequential kernel fold per entity
-   (stateful actor pool when ``concurrency`` is set), optional inline
+   (one stateless group task per bucket), optional inline
    prequential evaluation in the same fold, per-bucket checkpoint.
    ``flagship`` materializes the window Dataset here, so the fold runs
    once for the join and the summary below;
@@ -42,7 +42,6 @@ def feature_windows(
     evaluate: str | None = None,
     max_history: int | None = None,
     num_buckets: int = 64,
-    concurrency=None,
     checkpoint_dir: str | None = None,
     fingerprint: str = "",
     streaming: bool = False,
@@ -65,7 +64,6 @@ def feature_windows(
         evaluate=evaluate,
         max_history=max_history,
         num_buckets=num_buckets,
-        concurrency=concurrency,
         checkpoint_dir=checkpoint_dir,
         fingerprint=fingerprint,
         streaming=streaming,
@@ -85,7 +83,6 @@ def flagship(
     evaluate: str | None = None,
     max_history: int | None = None,
     num_buckets: int = 64,
-    concurrency=None,
     checkpoint_dir: str | None = None,
 ):
     """Full pipeline; returns (windows_ds, joined_ds_or_None, summary_df).
@@ -100,7 +97,6 @@ def flagship(
         evaluate=evaluate,
         max_history=max_history,
         num_buckets=num_buckets,
-        concurrency=concurrency,
         checkpoint_dir=checkpoint_dir,
     ).materialize()
     joined = None

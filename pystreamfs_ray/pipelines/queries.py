@@ -40,19 +40,6 @@ def _p(sf_dir: str, table: str) -> str:
     return os.path.join(sf_dir, f"{table}.parquet")
 
 
-def _sig_pool() -> tuple[int, int]:
-    """Autoscaling (min, max) actor-pool bounds for the CPU-heavy
-    signature/scoring stages, sized from the session instead of a
-    fixed (2, 8): a hardcoded 8-actor cap left 75% of a 32-CPU host
-    idle during MinHash hashing (measured 5.2 s → 2.2 s on the sf0.1
-    pair stage at (4, 16)). The min stays small so 4-CPU test
-    sessions never reserve every slot."""
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    lo = max(1, min(4, cpus // 8))
-    hi = min(max(8, cpus // 2), max(cpus, 1))
-    return (lo, hi)
-
-
 def _round_cols(ds, spec: dict[str, int]):
     def fn(t: pa.Table) -> pa.Table:
         for col, nd in spec.items():
@@ -924,7 +911,7 @@ def q_ann_topk(sf_dir: str):
                        columns=["vec_id", "embedding"],
                        filter=(pds.field("vec_id") < 10)).to_pandas()
     qmat = np.stack([np.asarray(v, dtype=np.float64) for v in qdf["embedding"]])
-    out = brute_force_topk(emb, qdf["vec_id"].to_numpy(), qmat, k=10, concurrency=2)
+    out = brute_force_topk(emb, qdf["vec_id"].to_numpy(), qmat, k=10)
 
     def fmt(df: pd.DataFrame) -> pd.DataFrame:
         return df[["query_id", "vec_id", "cosine", "rank"]]
@@ -949,7 +936,7 @@ def q_ivf_topk(sf_dir: str):
                        filter=(pds.field("vec_id") < 10)).to_pandas()
     qmat = np.stack([np.asarray(v, dtype=np.float64) for v in qdf["embedding"]])
     out = ivf_topk(emb, qdf["vec_id"].to_numpy(), qmat, k=10, n_cells=16,
-                   nprobe=16, concurrency=2)
+                   nprobe=16)
     return out.map_batches(
         lambda df: df[["query_id", "vec_id", "cosine", "rank"]], batch_format="pandas"
     )
@@ -959,8 +946,7 @@ def q_minhash_pairs(sf_dir: str):
     from pystreamfs_ray.stages.dedup import minhash_lsh_pairs
 
     docs = read_parquet(_p(sf_dir, "documents"), columns=["doc_id", "text"])
-    # autoscaling actor pool: signature hashing is the CPU-heavy stage
-    return minhash_lsh_pairs(docs, threshold=0.2, concurrency=_sig_pool())
+    return minhash_lsh_pairs(docs, threshold=0.2)
 
 
 def q_simhash(sf_dir: str):
@@ -986,7 +972,7 @@ def q_simhash_pairs(sf_dir: str):
     from pystreamfs_ray.stages.dedup import simhash_pairs
 
     docs = read_parquet(_p(sf_dir, "documents"), columns=["doc_id", "text"])
-    return simhash_pairs(docs, max_hamming=3, concurrency=2)
+    return simhash_pairs(docs, max_hamming=3)
 
 
 def q_embedding_neardup(sf_dir: str):
@@ -1006,7 +992,7 @@ def q_embedding_neardup(sf_dir: str):
         return pa.concat_tables([t, dup])
 
     with_probes = emb.map_batches(probes, batch_format="pyarrow")
-    return embedding_neardup_pairs(with_probes, threshold=0.95, concurrency=2)
+    return embedding_neardup_pairs(with_probes, threshold=0.95)
 
 
 def q_semantic_dedup(sf_dir: str):
@@ -1028,7 +1014,7 @@ def q_semantic_dedup(sf_dir: str):
         return pa.concat_tables([t, dup])
 
     with_probes = emb.map_batches(probes, batch_format="pyarrow")
-    pairs = embedding_neardup_pairs(with_probes, threshold=0.95, concurrency=2)
+    pairs = embedding_neardup_pairs(with_probes, threshold=0.95)
     dup_ids = pairs.select_columns(["id_b"]).to_pandas()["id_b"].unique()
     kept = anti_join(with_probes.select_columns(["vec_id"]), dup_ids, on="vec_id")
     return kept
@@ -1102,7 +1088,7 @@ def q_text_quality(sf_dir: str):
     from pystreamfs_ray.stages.textstats import quality_score
 
     docs = read_parquet(_p(sf_dir, "documents"), columns=["doc_id", "text"])
-    return quality_score(docs, concurrency=2).map_batches(
+    return quality_score(docs).map_batches(
         lambda df: df[["doc_id", "stopword_ratio", "quality_score"]],
         batch_format="pandas",
     )
@@ -1112,7 +1098,7 @@ def q_lang_id(sf_dir: str):
     from pystreamfs_ray.stages.textstats import lang_id
 
     docs = read_parquet(_p(sf_dir, "documents"), columns=["doc_id", "text", "lang"])
-    return lang_id(docs, concurrency=2).map_batches(
+    return lang_id(docs).map_batches(
         lambda df: df[["doc_id", "lang", "pred_lang"]], batch_format="pandas"
     )
 
@@ -1180,19 +1166,19 @@ def q_repetition(sf_dir: str):
 
 def q_decode_media(sf_dir: str):
     """Multimodal plumbing: synthesized binary payloads → decode-stub
-    actor pool → numeric features (deterministic; rows-only check)."""
+    stage → numeric features (deterministic; rows-only check)."""
     from pystreamfs_ray.stages.multimodal import decode_features, synth_media_table
 
     media = rd.from_arrow(synth_media_table(500, seed=21))
-    return decode_features(media, concurrency=2, batch_size=64)
+    return decode_features(media, batch_size=64)
 
 
 def q_decode_bmp(sf_dir: str):
     """REAL image decode (no stub, no codec library): 200 genuine
     BMP containers (BI_RGB 24bpp — file+info headers, bottom-up BGR
     rows, 4-byte row padding) are synthesized from the published pixel
-    formula, then PARSED back by the pure-numpy ``BmpDecoder`` actor
-    pool into geometry + exact per-channel pixel sums. The oracle
+    formula, then PARSED back by the pure-numpy ``BmpDecoder`` stage
+    into geometry + exact per-channel pixel sums. The oracle
     re-derives the same integers from the formula alone, so any parse
     error (padding, row order, channel order, header offsets) breaks
     the hash. Payloads never shuffle; output is one scalar row per
@@ -1201,14 +1187,14 @@ def q_decode_bmp(sf_dir: str):
                                               synth_codec_table)
 
     media = rd.from_arrow(synth_codec_table(200, "bmp")).repartition(8)
-    return decode_bmp_features(media, concurrency=2, batch_size=32)
+    return decode_bmp_features(media, batch_size=32)
 
 
 def q_decode_wav(sf_dir: str):
     """REAL audio decode (no stub, no codec library): 200 genuine
     RIFF/WAVE PCM16 containers are synthesized from the published
     sample formula, then PARSED back by the pure-numpy ``WavDecoder``
-    actor pool (chunk walk, fmt parse, exact Σs/Σs²/peak PCM stats in
+    stage (chunk walk, fmt parse, exact Σs/Σs²/peak PCM stats in
     int64). The oracle recomputes every stat from the formula via
     generate_series — a full synth → container bytes → parse → stats
     round trip with zero float anywhere."""
@@ -1216,7 +1202,7 @@ def q_decode_wav(sf_dir: str):
                                               synth_codec_table)
 
     media = rd.from_arrow(synth_codec_table(200, "wav")).repartition(8)
-    return decode_wav_features(media, concurrency=2, batch_size=32)
+    return decode_wav_features(media, batch_size=32)
 
 
 def q_accuracy_over_time(sf_dir: str):
@@ -1870,8 +1856,7 @@ def q_rrf(sf_dir: str):
                        columns=["vec_id", "embedding"],
                        filter=(_pds.field("vec_id") == 0)).to_pandas()
     qmat = np.stack([np.asarray(v, dtype=np.float64) for v in qdf["embedding"]])
-    ann = (brute_force_topk(emb, qdf["vec_id"].to_numpy(), qmat, k=50,
-                            concurrency=2)
+    ann = (brute_force_topk(emb, qdf["vec_id"].to_numpy(), qmat, k=50)
            .to_pandas().rename(columns={"vec_id": "doc_id"}))
 
     return rrf_fuse([bm_top, ann], id_col="doc_id", k=60, topk=10)
@@ -2333,7 +2318,7 @@ def q_quality_filter(sf_dir: str):
     from pystreamfs_ray.stages.textstats import quality_score
 
     docs = read_parquet(_p(sf_dir, "documents"), columns=["doc_id", "text"])
-    qs = quality_score(docs, concurrency=2).map_batches(
+    qs = quality_score(docs).map_batches(
         lambda df: df[["doc_id", "quality_score"]], batch_format="pandas")
     pr = global_percent_rank(qs, value_col="quality_score",
                              id_col="doc_id")
@@ -2479,10 +2464,8 @@ def q_ann_recall(sf_dir: str):
     qmat = np.stack([np.asarray(v, dtype=np.float64)
                      for v in qdf["embedding"]])
     qids = qdf["vec_id"].to_numpy()
-    exact = brute_force_topk(emb, qids, qmat, k=10,
-                             concurrency=2).to_pandas()
-    approx = ivf_topk(emb, qids, qmat, k=10, n_cells=16, nprobe=10,
-                      concurrency=2).to_pandas()
+    exact = brute_force_topk(emb, qids, qmat, k=10).to_pandas()
+    approx = ivf_topk(emb, qids, qmat, k=10, n_cells=16, nprobe=10).to_pandas()
     return _recall_frame(exact, approx)
 
 
@@ -2507,10 +2490,9 @@ def q_ann_lsh(sf_dir: str):
     qmat = np.stack([np.asarray(v, dtype=np.float64)
                      for v in qdf["embedding"]])
     qids = qdf["vec_id"].to_numpy()
-    exact = brute_force_topk(emb, qids, qmat, k=10,
-                             concurrency=2).to_pandas()
-    approx = lsh_topk(emb, qids, qmat, k=10, n_planes=8, n_tables=12,
-                      concurrency=2).to_pandas()
+    exact = brute_force_topk(emb, qids, qmat, k=10).to_pandas()
+    approx = lsh_topk(emb, qids, qmat, k=10, n_planes=8,
+                      n_tables=12).to_pandas()
     return _recall_frame(exact, approx)
 
 
@@ -2531,7 +2513,7 @@ def q_mmr_select(sf_dir: str):
                          filter=(_pds.field("vec_id") == 0))
             .to_pandas()["embedding"].iloc[0])
     return mmr_select(emb, np.asarray(qvec, dtype=np.float64),
-                      k=10, lam=0.7, concurrency=2)
+                      k=10, lam=0.7)
 
 
 def q_split_leakage(sf_dir: str):
@@ -2610,7 +2592,7 @@ def q_neardup_leakage(sf_dir: str):
     from pystreamfs_ray.stages.dedup import minhash_lsh_pairs
 
     docs = read_parquet(_p(sf_dir, "documents"), columns=["doc_id", "text"])
-    pairs = minhash_lsh_pairs(docs, threshold=0.2, concurrency=_sig_pool())
+    pairs = minhash_lsh_pairs(docs, threshold=0.2)
 
     def add_splits(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
@@ -2698,7 +2680,7 @@ def q_neardup_canonical(sf_dir: str):
     from pystreamfs_ray.stages.dedup import minhash_lsh_pairs, neardup_canonical
 
     docs = read_parquet(_p(sf_dir, "documents"), columns=["doc_id", "text"])
-    pairs = minhash_lsh_pairs(docs, threshold=0.2, concurrency=_sig_pool())
+    pairs = minhash_lsh_pairs(docs, threshold=0.2)
     attrs = read_parquet(_p(sf_dir, "documents"),
                          columns=["doc_id", "n_chars"])
     return neardup_canonical(pairs, attrs, id_col="doc_id",
@@ -2719,14 +2701,14 @@ def q_split_drift(sf_dir: str):
 
 def q_score_docs(sf_dir: str):
     """Model-inference document scoring: logistic quality score over
-    md5-hashed bag-of-words features with a per-actor weight table —
+    md5-hashed bag-of-words features with a hashed weight table —
     the fasttext-style linear-classifier shape, doc-local and
-    shuffle-free (weights build once per actor, batches score via one
+    shuffle-free (weights build once per stage, batches score via one
     vectorized hash + bincount)."""
     from pystreamfs_ray.stages.textstats import linear_score
 
     docs = read_parquet(_p(sf_dir, "documents"), columns=["doc_id", "text"])
-    return linear_score(docs, concurrency=_sig_pool())
+    return linear_score(docs)
 
 
 def q_incremental_dedup(sf_dir: str):
@@ -2792,10 +2774,8 @@ def q_ann_int8(sf_dir: str):
     qmat = np.stack([np.asarray(v, dtype=np.float64)
                      for v in qdf["embedding"]])
     qids = qdf["vec_id"].to_numpy()
-    exact = brute_force_topk(emb, qids, qmat, k=10,
-                             concurrency=2).to_pandas()
-    approx = int8_topk(quantize_embeddings(emb), qids, qmat, k=10,
-                       concurrency=2).to_pandas()
+    exact = brute_force_topk(emb, qids, qmat, k=10).to_pandas()
+    approx = int8_topk(quantize_embeddings(emb), qids, qmat, k=10).to_pandas()
     return _recall_frame(exact, approx)
 
 
@@ -2820,10 +2800,9 @@ def q_ann_ivf_int8(sf_dir: str):
     qids = qdf["vec_id"].to_numpy()
     cents = train_centroids(emb, n_cells=16)
     quant = quantize_embeddings(emb, centroids=cents)
-    exact = brute_force_topk(emb, qids, qmat, k=10,
-                             concurrency=2).to_pandas()
-    approx = ivf_int8_topk(quant, qids, qmat, cents, k=10, nprobe=4,
-                           concurrency=2).to_pandas()
+    exact = brute_force_topk(emb, qids, qmat, k=10).to_pandas()
+    approx = ivf_int8_topk(quant, qids, qmat, cents, k=10,
+                           nprobe=4).to_pandas()
     return _recall_frame(exact, approx)
 
 
@@ -3016,12 +2995,10 @@ def q_ann_pq(sf_dir: str):
     qmat = np.stack([np.asarray(v, dtype=np.float64)
                      for v in qdf["embedding"]])
     qids = qdf["vec_id"].to_numpy()
-    exact = brute_force_topk(emb, qids, qmat, k=10,
-                             concurrency=2).to_pandas()
+    exact = brute_force_topk(emb, qids, qmat, k=10).to_pandas()
     book = train_pq_codebook(emb, m=16, n_codes=256)
     codes = pq_encode(emb, book)
-    approx = pq_topk(codes, qids, qmat, book, k=10,
-                     concurrency=2).to_pandas()
+    approx = pq_topk(codes, qids, qmat, book, k=10).to_pandas()
     return _recall_frame(exact, approx)
 
 
@@ -3086,8 +3063,7 @@ def q_ann_matryoshka(sf_dir: str):
     qmat = np.stack([np.asarray(v, dtype=np.float64)
                      for v in qdf["embedding"]])
     qids = qdf["vec_id"].to_numpy()
-    exact = brute_force_topk(emb, qids, qmat, k=10,
-                             concurrency=2).to_pandas()
+    exact = brute_force_topk(emb, qids, qmat, k=10).to_pandas()
 
     def trunc(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -3097,8 +3073,7 @@ def q_ann_matryoshka(sf_dir: str):
         })
 
     half = emb.map_batches(trunc, batch_format="pandas")
-    approx = brute_force_topk(half, qids, qmat[:, :trunc_d], k=10,
-                              concurrency=2).to_pandas()
+    approx = brute_force_topk(half, qids, qmat[:, :trunc_d], k=10).to_pandas()
     return _recall_frame(exact, approx)
 
 
@@ -3220,20 +3195,13 @@ def q_incremental_minhash(sf_dir: str):
             return df[df["doc_id"].to_numpy() % 2 == parity]
         return fn
 
-    # ONE signature pool signs the whole table, then the signature
-    # stream splits by parity — the r4 shape ran TWO concurrent pools
-    # (index + arrivals) and paid the cold actor ramp twice, the
-    # round's most expensive query (VERDICT r4 next-round #6). The
-    # fused pool can take the full per-stage budget since nothing
-    # competes with it
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    conc = (max(1, min(2, cpus // 8)), max(2, cpus // 2))
-    sigs = minhash_signatures(docs, concurrency=conc).materialize()
+    # ONE signature pass signs the whole table, then the signature
+    # stream splits by parity (index + arrivals)
+    sigs = minhash_signatures(docs).materialize()
     index_sigs = sigs.map_batches(side(0), batch_format="pandas")
     return incremental_minhash_pairs(
         sigs.map_batches(side(1), batch_format="pandas"),
-        index_sigs, threshold=0.2, concurrency=conc,
-        new_presigned=True)
+        index_sigs, threshold=0.2, new_presigned=True)
 
 
 def q_prior_ctr(sf_dir: str):
@@ -3279,14 +3247,14 @@ def q_bpe_encode(sf_dir: str):
     (bounded vocab-table loop), then encode every document with it —
     the train-once/encode-corpus lifecycle a pretraining pipeline runs
     to budget true token counts before packing. Encoding is one
-    actor-pool pass (ranks dict built per actor, per-distinct-word
+    doc-local pass (ranks dict built once, per-distinct-word
     memoization); non-SQL like q_bpe_train (rows-only; pytest pins the
     sequential-reference parity and the merge monotonicity)."""
     from pystreamfs_ray.stages.textstats import bpe_encode_counts, bpe_train
 
     docs = read_parquet(_p(sf_dir, "documents"), columns=["doc_id", "text"])
     merges = bpe_train(docs, num_merges=64)
-    return bpe_encode_counts(docs, merges, concurrency=2)
+    return bpe_encode_counts(docs, merges)
 
 
 def q_footer_stats(sf_dir: str):
@@ -3374,7 +3342,7 @@ def q_range_search(sf_dir: str):
     qmat = np.stack([np.asarray(v, dtype=np.float64)
                      for v in qdf["embedding"]])
     return range_search(emb, qdf["vec_id"].to_numpy(), qmat,
-                        threshold=0.3, concurrency=2)
+                        threshold=0.3)
 
 
 def q_context_window(sf_dir: str):
@@ -3520,7 +3488,7 @@ def q_lang_outliers(sf_dir: str):
 
 def q_frame_plan(sf_dir: str):
     """Multimodal frame-sampling plan: run the row-expanding video
-    frame sampler (actor pool; payload slices ride along exactly as a
+    frame sampler (payload slices ride along exactly as a
     pyav sampler's frames would) and roll up per-media plan stats —
     the oracle re-derives frame counts independently from the decode
     stub's published duration spec."""
@@ -3528,8 +3496,7 @@ def q_frame_plan(sf_dir: str):
                                                   synth_media_table)
 
     media = rd.from_arrow(synth_media_table(500, seed=21))
-    frames = sample_frames(media, every_s=1.0, max_frames=16,
-                           concurrency=2, batch_size=32)
+    frames = sample_frames(media, every_s=1.0, max_frames=16, batch_size=32)
     return (frames.groupby("media_id")
             .aggregate(Count(alias_name="n_frames"),
                        Max("frame_ts_s", alias_name="last_ts_s")))
@@ -4566,10 +4533,8 @@ def q_ann_ndcg(sf_dir: str):
     qmat = np.stack([np.asarray(v, dtype=np.float64)
                      for v in qdf["embedding"]])
     qids = qdf["vec_id"].to_numpy()
-    exact = brute_force_topk(emb, qids, qmat, k=10,
-                             concurrency=2).to_pandas()
-    approx = ivf_topk(emb, qids, qmat, k=10, n_cells=16, nprobe=4,
-                      concurrency=2).to_pandas()
+    exact = brute_force_topk(emb, qids, qmat, k=10).to_pandas()
+    approx = ivf_topk(emb, qids, qmat, k=10, n_cells=16, nprobe=4).to_pandas()
     return _ndcg_frame(exact, approx)
 
 
@@ -7998,8 +7963,7 @@ def q_lsh_quality(sf_dir: str):
 
     docs = read_parquet(_p(sf_dir, "documents"), columns=["doc_id", "text"],
                         filter=(pds.field("doc_id") < 100))
-    cand = ensure_cols(minhash_lsh_pairs(docs, threshold=0.2,
-                                         concurrency=2).to_pandas(),
+    cand = ensure_cols(minhash_lsh_pairs(docs, threshold=0.2).to_pandas(),
                        {"id_a": "int64", "id_b": "int64"})
     cand_set = set(zip(cand["id_a"].tolist(), cand["id_b"].tolist()))
 

@@ -42,7 +42,7 @@ def read_transcripts(path: str):
     return read_parquet(path)
 
 
-def transcripts_from_events(sf_dir: str, *, num_buckets: int = 64, concurrency=None):
+def transcripts_from_events(sf_dir: str, *, num_buckets: int = 64):
     events = read_parquet(
         os.path.join(sf_dir, "events.parquet"),
         columns=["event_id", "ts", "user_id", "event_type", "props"],
@@ -65,7 +65,6 @@ def transcripts_from_events(sf_dir: str, *, num_buckets: int = 64, concurrency=N
 
     return per_bucket(
         events, _derive, entity_col="user_id", num_buckets=num_buckets,
-        concurrency=concurrency,
     )
 
 

@@ -247,8 +247,7 @@ def random_shuffle(ds, *, seed: int | None = None):
 
 
 def shuffle_stream(ds, *, seed: int = 0, entity_col: str = "conv_id",
-                   order_col: str = "turn_idx", num_buckets: int = 64,
-                   concurrency=None):
+                   order_col: str = "turn_idx", num_buckets: int = 64):
     """Randomize each entity's STREAM ORDER (O2 stream semantics).
 
     The reference shuffles the matrix before the stream loop, so
@@ -273,7 +272,7 @@ def shuffle_stream(ds, *, seed: int = 0, entity_col: str = "conv_id",
         return pd.concat(out) if out else group
 
     return per_bucket(ds, permute, entity_col=entity_col,
-                      num_buckets=num_buckets, concurrency=concurrency)
+                      num_buckets=num_buckets)
 
 
 def write_jsonl(ds, path: str, **kwargs) -> None:

@@ -169,7 +169,6 @@ def asof_join(
     right_suffix: str = "_r",
     matched_name: str | None = None,
     num_buckets: int = DEFAULT_BUCKETS,
-    concurrency=None,
 ):
     """Point-in-time join of ``right_ds`` features onto ``left_ds`` rows.
 
@@ -206,13 +205,13 @@ def asof_join(
             return merge(batch, table.take(pa.array(rows, type=pa.int64())))
 
         return left_ds.map_batches(probe, batch_format="pyarrow",
-                                   batch_size=None, concurrency=concurrency)
+                                   batch_size=None)
     return _shuffle_join(left_ds, blocks, merge, by=by, right_on=right_on,
-                         num_buckets=num_buckets, concurrency=concurrency)
+                         num_buckets=num_buckets)
 
 
 def _shuffle_join(left_ds, blocks, merge, *, by: str, right_on: str,
-                  num_buckets: int, concurrency):
+                  num_buckets: int):
     """Both sides through one hash shuffle on ``by``; each bucket's rows
     go to ``merge``, right rows in Dataset order."""
     import ray.data as rd
@@ -272,8 +271,7 @@ def _shuffle_join(left_ds, blocks, merge, *, by: str, right_on: str,
         ).rename_columns([by, _RTS, *payload])
         return merge(left_t, right_t)
 
-    return both.groupby(_BUCKET).map_groups(
-        _bucket, batch_format="pyarrow", concurrency=concurrency)
+    return both.groupby(_BUCKET).map_groups(_bucket, batch_format="pyarrow")
 
 
 def asof_join_time(

@@ -7,8 +7,8 @@ PCM16) decode for REAL here: the byte layout is parsed field by field
 (headers, chunk walk, row padding, bottom-up row order), not faked.
 
 Reference scope note: the reference engine has no media handling at
-all; this implements the multimodal-plumbing mandate (decode as an
-actor-pool ``map_batches`` stage over binary columns) with a real
+all; this implements the multimodal-plumbing mandate (decode as a
+``map_batches`` stage over binary columns) with a real
 parser where the container permits, per VERDICT r4 "What's missing" #3.
 
 Decode stats are EXACT integers (pixel-channel sums, PCM sample sums /
@@ -17,9 +17,9 @@ square sums / peak), so the paired driver queries (``q_decode_bmp`` /
 numbers from the synthesis formula alone — the engine must round-trip
 synth → container bytes → parse → stats bit-exactly to match.
 
-Scale shape: payloads never shuffle; decode is an actor pool with
-small batches (payload × batch × concurrency bounded); outputs are
-per-media scalar rows.
+Scale shape: payloads never shuffle; decode is a task stage with
+small batches (payload × batch bounded); outputs are per-media scalar
+rows.
 """
 
 from __future__ import annotations
@@ -212,12 +212,12 @@ def synth_codec_table(n: int, kind: str) -> pa.Table:
 
 
 # --------------------------------------------------------------------------
-# Actor-pool decode stages
+# Decode stages
 # --------------------------------------------------------------------------
 
 
 class BmpDecoder:
-    """Actor-pool stage: BMP payload column → geometry + exact channel
+    """Stage: BMP payload column → geometry + exact channel
     sums. Real parsing — no codec library, no stub."""
 
     def __call__(self, t: pa.Table) -> pa.Table:
@@ -229,7 +229,7 @@ class BmpDecoder:
 
 
 class WavDecoder:
-    """Actor-pool stage: WAV payload column → exact PCM stats."""
+    """Stage: WAV payload column → exact PCM stats."""
 
     def __call__(self, t: pa.Table) -> pa.Table:
         recs = [decode_wav(p) for p in t["payload"].to_pylist()]
@@ -240,11 +240,11 @@ class WavDecoder:
         return pa.table(out)
 
 
-def decode_bmp_features(ds, *, concurrency=2, batch_size: int = 32):
-    return ds.map_batches(BmpDecoder, batch_format="pyarrow",
-                          batch_size=batch_size, concurrency=concurrency)
+def decode_bmp_features(ds, *, batch_size: int = 32):
+    return ds.map_batches(BmpDecoder(), batch_format="pyarrow",
+                          batch_size=batch_size)
 
 
-def decode_wav_features(ds, *, concurrency=2, batch_size: int = 32):
-    return ds.map_batches(WavDecoder, batch_format="pyarrow",
-                          batch_size=batch_size, concurrency=concurrency)
+def decode_wav_features(ds, *, batch_size: int = 32):
+    return ds.map_batches(WavDecoder(), batch_format="pyarrow",
+                          batch_size=batch_size)

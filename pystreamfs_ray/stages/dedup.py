@@ -271,7 +271,7 @@ def _perm_params(num_perm: int, seed: int = 12345):
 
 
 class MinHasher:
-    """Actor: permutation parameters generated once per actor.
+    """Scorer: permutation parameters generated once per instance.
 
     Shingle hash is md5-low-64 (``_md5_lower64``) and the permutation is
     ``((h*a + b) mod 2^64) mod (2^61-1)`` — both exactly expressible in
@@ -325,13 +325,10 @@ class MinHasher:
 
 
 def minhash_signatures(ds, *, id_col="doc_id", text_col="text", num_perm=128,
-                       shingle_k=3, concurrency=4, batch_size=512):
-    # positional ctor args (a hashable tuple, not a dict) so Ray's
-    # operator-fusion schema hashing works — kwargs dicts defeat it
+                       shingle_k=3, batch_size=512):
     return ds.map_batches(
-        MinHasher, batch_format="pandas", concurrency=concurrency,
-        batch_size=batch_size,
-        fn_constructor_args=(id_col, text_col, num_perm, shingle_k),
+        MinHasher(id_col, text_col, num_perm, shingle_k),
+        batch_format="pandas", batch_size=batch_size,
     )
 
 
@@ -368,7 +365,7 @@ def _explode_bands(df: pd.DataFrame, id_col: str, num_perm: int,
 
 
 def minhash_lsh_pairs(ds, *, id_col="doc_id", text_col="text", num_perm=128,
-                      bands=32, shingle_k=3, threshold=0.5, concurrency=4,
+                      bands=32, shingle_k=3, threshold=0.5,
                       broadcast_threshold=200_000, num_partitions=None):
     """Candidate pairs via LSH banding, Jaccard estimated from the full
     signatures (no text shuffle). Returns (id_a, id_b, jaccard_est)
@@ -388,7 +385,7 @@ def minhash_lsh_pairs(ds, *, id_col="doc_id", text_col="text", num_perm=128,
 
     sigs = minhash_signatures(
         ds, id_col=id_col, text_col=text_col, num_perm=num_perm,
-        shingle_k=shingle_k, concurrency=concurrency,
+        shingle_k=shingle_k,
     ).materialize()  # reused twice (banding + verification join)
 
     def explode_bands(df: pd.DataFrame) -> pd.DataFrame:
@@ -648,8 +645,7 @@ class SimHasher:
         return out
 
 
-def simhash_pairs(ds, *, id_col="doc_id", text_col="text", max_hamming=3,
-                  concurrency=4):
+def simhash_pairs(ds, *, id_col="doc_id", text_col="text", max_hamming=3):
     """Near-dup pairs by SimHash: band the 64 bits into ``max_hamming+1``
     equal-width keys (pigeonhole: a pair within Hamming ≤ max_hamming
     must agree on at least one whole band), then verify Hamming distance
@@ -661,10 +657,7 @@ def simhash_pairs(ds, *, id_col="doc_id", text_col="text", max_hamming=3,
         n_bands = next(d for d in (1, 2, 4, 8, 16, 32, 64) if d >= n_bands)
     band_bits = 64 // n_bands
     band_mask = np.uint64((1 << band_bits) - 1)
-    sigs = ds.map_batches(
-        SimHasher, batch_format="pandas", concurrency=concurrency,
-        fn_constructor_args=(id_col, text_col),
-    )
+    sigs = ds.map_batches(SimHasher(id_col, text_col), batch_format="pandas")
 
     # Same shape as minhash_lsh_pairs: banding buckets are mostly
     # singletons, so hash-partition band rows into a FIXED bucket count
@@ -1127,8 +1120,7 @@ def neardup_canonical(pairs_ds, attrs_ds, *, id_col: str = "doc_id",
 
 
 def embedding_neardup_pairs(ds, *, id_col="vec_id", vec_col="embedding",
-                            threshold=0.95, n_planes=10, n_tables=8, seed=99,
-                            concurrency=4):
+                            threshold=0.95, n_planes=10, n_tables=8, seed=99):
     """Near-duplicate vector pairs by random-hyperplane LSH with
     ``n_tables`` independent hash tables of ``n_planes`` sign bits each
     (multi-probe recall, same trick as MinHash banding), then exact
@@ -1172,8 +1164,7 @@ def embedding_neardup_pairs(ds, *, id_col="vec_id", vec_col="embedding",
     from pystreamfs_ray.util import arrow_combiner
 
     pairs = (
-        ds.map_batches(arrow_combiner(bucketize), batch_format="pyarrow",
-                       concurrency=concurrency)
+        ds.map_batches(arrow_combiner(bucketize), batch_format="pyarrow")
         .groupby(["table_id", "bucket"])
         .map_groups(verify, batch_format="pandas")
     )
@@ -1514,7 +1505,7 @@ def prefix_dedup(ds, *, text_col: str = "text", num_partitions: int = 32,
 
 def incremental_minhash_pairs(new_ds, index_sigs, *, id_col="doc_id",
                               text_col="text", num_perm=128, bands=32,
-                              shingle_k=3, threshold=0.5, concurrency=4,
+                              shingle_k=3, threshold=0.5,
                               num_partitions=None, pair_buckets=64,
                               new_presigned=False):
     """Incremental near-dup ingestion: match an ARRIVAL batch against a
@@ -1538,7 +1529,7 @@ def incremental_minhash_pairs(new_ds, index_sigs, *, id_col="doc_id",
     ``new_presigned=True`` means ``new_ds`` already IS a signature
     dataset (``minhash_signatures`` schema) — callers that sign both
     sides from one source (or load persisted arrival signatures) skip
-    the second signature actor pool and its cold ramp entirely."""
+    the second signature pass entirely."""
     import ray
     import ray.data as rd
 
@@ -1551,7 +1542,7 @@ def incremental_minhash_pairs(new_ds, index_sigs, *, id_col="doc_id",
     else:
         new_sigs = minhash_signatures(
             new_ds, id_col=id_col, text_col=text_col, num_perm=num_perm,
-            shingle_k=shingle_k, concurrency=concurrency,
+            shingle_k=shingle_k,
         ).materialize()  # reused: banding + broadcast verification
 
     if new_sigs.count() == 0:

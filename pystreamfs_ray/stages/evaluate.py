@@ -51,7 +51,6 @@ def evaluate_windows(
     label_col: str = LABEL_COL,
     chunk_windows: int = 200,
     num_buckets: int = 64,
-    concurrency=None,
     broadcast_threshold: int = 2_000_000,
 ):
     """specs_ds: (kernel, conv_id, window_id, selected) — selector output."""
@@ -254,5 +253,5 @@ def evaluate_windows(
     return (
         both.map_batches(assign_bucket, batch_format="pyarrow")
         .groupby(["__bucket", "__chunk"])
-        .map_groups(eval_group, batch_format="pyarrow", concurrency=concurrency)
+        .map_groups(eval_group, batch_format="pyarrow")
     )

@@ -1,15 +1,15 @@
 """Multimodal columns: opaque ``binary`` payloads + typed metadata.
 
 Image/audio/video bytes ride as Arrow ``binary`` columns; decode /
-feature-extract / resize / frame-sample are actor-pool ``map_batches``
-stages with SMALL batch sizes (payloads are big — batch × concurrency
-must fit worker heap; see the memory notes in SURVEY.md §4).
+feature-extract / resize / frame-sample are task ``map_batches``
+stages with SMALL batch sizes (payloads are big — a batch must fit the
+worker heap; see the memory notes in SURVEY.md §4).
 
 COMPRESSED formats (JPEG/MP3/MP4) need codec libraries the sandbox
 lacks, so that decode step is STUBBED: ``DecodeStub`` produces
 deterministic pseudo-decoded features from the payload bytes
 (hash-derived width/height/duration, mean byte value). The Ray-side
-plumbing — schema, actor signature, batch sizing, output
+plumbing — schema, stage signature, batch sizing, output
 layout — is real and tested.
 
 UNCOMPRESSED containers decode for REAL: ``stages/codecs.py`` parses
@@ -57,7 +57,7 @@ def synth_media_table(n: int, seed: int = 21, payload_bytes: int = 2048) -> pa.T
 
 
 class DecodeStub:
-    """Actor-pool decode stage: deterministic pseudo decode (a real one
+    """Decode stage: deterministic pseudo decode (a real one
     needs Pillow / torchaudio / pyav)."""
 
     def _decode_one(self, kind: str, payload: bytes) -> tuple[float, float, float, float]:
@@ -83,16 +83,14 @@ class DecodeStub:
         )
 
 
-def decode_features(ds, *, concurrency=2, batch_size: int = 64):
+def decode_features(ds, *, batch_size: int = 64):
     """Binary payloads → numeric features; small batches on purpose."""
-    return ds.map_batches(
-        DecodeStub, batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return ds.map_batches(DecodeStub(), batch_format="pyarrow",
+                          batch_size=batch_size)
 
 
 class ResizeStub:
-    """Actor-pool image-resize stage. Real resize needs Pillow
+    """Image-resize stage. Real resize needs Pillow
     (absent); this stage performs a deterministic byte-level
     downsample (strided slice to the target byte budget) so the
     plumbing — binary in, binary out, metadata updated, non-image rows
@@ -121,18 +119,15 @@ class ResizeStub:
 
 
 def resize_images(ds, *, width: int = 64, height: int = 64,
-                  concurrency=2, batch_size: int = 64):
+                  batch_size: int = 64):
     """Image payloads → resized payloads (small batches: payload bytes
     dominate the block)."""
-    return ds.map_batches(
-        ResizeStub, batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency,
-        fn_constructor_args=(width, height),
-    )
+    return ds.map_batches(ResizeStub(width, height), batch_format="pyarrow",
+                          batch_size=batch_size)
 
 
 class FrameSampleStub:
-    """Actor-pool video frame sampler: one input video row →
+    """Video frame sampler: one input video row →
     one OUTPUT ROW PER SAMPLED FRAME (the flat-map shape real
     pyav-based sampling would have). The stub derives the frame
     count from the stub duration (same hash as DecodeStub) and slices
@@ -166,11 +161,8 @@ class FrameSampleStub:
 
 
 def sample_frames(ds, *, every_s: float = 1.0, max_frames: int = 16,
-                  concurrency=2, batch_size: int = 32):
+                  batch_size: int = 32):
     """Video payloads → per-frame rows (row-expanding stage: batches
     kept SMALL because output bytes ≈ input bytes × frames)."""
-    return ds.map_batches(
-        FrameSampleStub, batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency,
-        fn_constructor_args=(every_s, max_frames),
-    )
+    return ds.map_batches(FrameSampleStub(every_s, max_frames),
+                          batch_format="pyarrow", batch_size=batch_size)

@@ -1,14 +1,14 @@
 """Selector stage: per-entity sequential kernel folds, parallel across
-entity buckets, as a stateful actor-pool group stage.
+entity buckets, as one stateless ``map_groups`` task per bucket.
 
 This is the engine form of the reference's ``simulate_stream`` loop
 (`/root/reference/pystreamfs/pystreamfs.py:59-90`): within one entity
 the kernel state is threaded window-to-window (strictly sequential —
 the reference contract forbids intra-entity parallelism); across
 entities everything is parallel. Entities are hash-bucketed once
-(shuffle #1) and each bucket runs as one group task inside a
-``map_groups`` actor pool (``concurrency=N`` → callable-class actors,
-kernel registry resolved once per actor in ``__init__``).
+(shuffle #1) and each bucket runs as one group task; the stage passes
+a constructed ``BucketSelector``, so the kernel registry resolves once,
+in ``__init__``, when the stage is built.
 
 Per entity × window the stage emits: weight vector ``w``, top-m
 ``selected`` set, ``fscr`` vs the previous window
@@ -75,7 +75,7 @@ class BucketSelector:
         load_state: bool = False,
         mem_probe_every: int = 1,
     ):
-        # actor-pool setup: resolve kernels once per actor, not per batch.
+        # resolve kernels once, when the stage is built, not per bucket.
         # A list runs several kernels per entity in ONE pass — the shuffle
         # is paid once and amortized over every kernel's fold.
         from pystreamfs_ray.kernels import get_kernel
@@ -387,7 +387,6 @@ def run_selector(
     evaluate: str | None = None,
     max_history: int | None = None,
     num_buckets: int = 64,
-    concurrency=None,
     checkpoint_dir: str | None = None,
     fingerprint: str = "",
     streaming: bool = False,
@@ -396,7 +395,7 @@ def run_selector(
     mem_probe_every: int = 1,
 ):
     """features Dataset → selector-output Dataset (one shuffle)."""
-    kwargs = dict(
+    selector = BucketSelector(
         streaming=streaming,
         flush=flush,
         load_state=load_state,
@@ -423,13 +422,5 @@ def run_selector(
     cols = [c for c in dict.fromkeys(keep) if c in features_ds.schema().names]
     ds = features_ds.select_columns(cols)
     bucketed = add_bucket(ds, entity_col, num_buckets)
-    grouped = bucketed.groupby("__bucket")
-    if concurrency is not None:
-        # actor pool: kernel/registry setup happens once per actor
-        return grouped.map_groups(
-            BucketSelector,
-            batch_format="pandas",
-            fn_constructor_kwargs=kwargs,
-            concurrency=concurrency,
-        )
-    return grouped.map_groups(BucketSelector(**kwargs), batch_format="pandas")
+    return bucketed.groupby("__bucket").map_groups(selector,
+                                                   batch_format="pandas")

@@ -1,7 +1,7 @@
 """Similarity search over an embedding column (``list<float>``).
 
-Baseline: brute-force cosine top-k — the query matrix is broadcast once
-(``ray.put``), every batch does one numpy matmul against it, per-batch
+Baseline: brute-force cosine top-k — the query matrix ships once with
+the stage's scorer, every batch does one numpy matmul against it, per-batch
 partial top-k rows are emitted, and the tiny (n_queries × k × n_blocks)
 partial set is reduced to the global top-k. The full corpus streams;
 only partial winners move.
@@ -55,10 +55,9 @@ def _topk_rounded(sims: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
 
 
 class BruteForceScorer:
-    """Actor: fetches + normalizes the broadcast query matrix once."""
+    """Normalizes the query matrix once, when the stage is built."""
 
-    def __init__(self, queries_ref, id_col: str, vec_col: str, k: int):
-        q = ray.get(queries_ref) if isinstance(queries_ref, ray.ObjectRef) else queries_ref
+    def __init__(self, q: dict, id_col: str, vec_col: str, k: int):
         self.qids = q["qids"]
         self.qmat = _normalize(q["qmat"])
         self.id_col, self.vec_col, self.k = id_col, vec_col, k
@@ -84,15 +83,14 @@ class BruteForceScorer:
 
 
 def brute_force_topk(ds, query_ids, query_matrix, *, k=10, id_col="vec_id",
-                     vec_col="embedding", concurrency=4, batch_size=4096):
+                     vec_col="embedding", batch_size=4096):
     """Global cosine top-k per query. Returns (query_id, id, cosine, rank)
     with deterministic (round(cosine,6) desc, id asc) ranking."""
-    ref = ray.put({"qids": np.asarray(query_ids, dtype=np.int64),
-                   "qmat": np.asarray(query_matrix, dtype=np.float64)})
+    q = {"qids": np.asarray(query_ids, dtype=np.int64),
+         "qmat": np.asarray(query_matrix, dtype=np.float64)}
     partials = ds.map_batches(
-        BruteForceScorer, batch_format="pandas", batch_size=batch_size,
-        concurrency=concurrency,
-        fn_constructor_args=(ref, id_col, vec_col, k),
+        BruteForceScorer(q, id_col, vec_col, k), batch_format="pandas",
+        batch_size=batch_size,
     )
 
     return partials.groupby("query_id").map_groups(
@@ -103,8 +101,8 @@ class IVFScorer:
     """IVF probe: score only vectors whose coarse cell is among the
     ``nprobe`` cells closest to each query."""
 
-    def __init__(self, state_ref, id_col: str, vec_col: str, k: int, nprobe: int):
-        s = ray.get(state_ref) if isinstance(state_ref, ray.ObjectRef) else state_ref
+    def __init__(self, s: dict, id_col: str, vec_col: str, k: int,
+                 nprobe: int):
         self.qids, self.qmat = s["qids"], _normalize(s["qmat"])
         self.centroids = s["centroids"]
         self.id_col, self.vec_col, self.k = id_col, vec_col, k
@@ -167,7 +165,7 @@ def train_centroids(ds, *, n_cells=16, id_col="vec_id",
 
 
 def ivf_topk(ds, query_ids, query_matrix, *, k=10, n_cells=16, nprobe=4,
-             id_col="vec_id", vec_col="embedding", concurrency=4,
+             id_col="vec_id", vec_col="embedding",
              train_sample: int = 2048, seed=7):
     """Approximate top-k: seeded k-means-lite centroids (a few Lloyd
     iterations over a driver-side sample), then probe-limited scoring.
@@ -180,13 +178,11 @@ def ivf_topk(ds, query_ids, query_matrix, *, k=10, n_cells=16, nprobe=4,
                                 vec_col=vec_col, train_sample=train_sample,
                                 seed=seed)
 
-    ref = ray.put({"qids": np.asarray(query_ids, dtype=np.int64),
-                   "qmat": np.asarray(query_matrix, dtype=np.float64),
-                   "centroids": centroids})
+    s = {"qids": np.asarray(query_ids, dtype=np.int64),
+         "qmat": np.asarray(query_matrix, dtype=np.float64),
+         "centroids": centroids}
     partials = ds.map_batches(
-        IVFScorer, batch_format="pandas", concurrency=concurrency,
-        fn_constructor_args=(ref, id_col, vec_col, k, nprobe),
-    )
+        IVFScorer(s, id_col, vec_col, k, nprobe), batch_format="pandas")
 
     return partials.groupby("query_id").map_groups(
         _reduce_topk("cosine", id_col, k), batch_format="pandas")
@@ -257,14 +253,13 @@ def quantize_embeddings(ds, *, id_col: str = "vec_id",
 
 
 class Int8Scorer:
-    """Actor: brute-force cosine over the int8-quantized table. The
-    float query matrix is broadcast once; each batch does one
-    (nq × d) @ (d × batch) matmul over the DEQUANT-FREE int8 codes
-    upcast in registers, then rescales by the per-vector scale —
-    the stored/shuffled representation stays int8 end to end."""
+    """Brute-force cosine over the int8-quantized table. The float
+    query matrix is normalized once, when the stage is built; each
+    batch does one (nq × d) @ (d × batch) matmul over the DEQUANT-FREE
+    int8 codes upcast in registers, then rescales by the per-vector
+    scale — the stored/shuffled representation stays int8 end to end."""
 
-    def __init__(self, queries_ref, id_col: str, k: int):
-        q = ray.get(queries_ref) if isinstance(queries_ref, ray.ObjectRef) else queries_ref
+    def __init__(self, q: dict, id_col: str, k: int):
         self.qids = q["qids"]
         self.qmat = _normalize(q["qmat"]).astype(np.float32)
         self.id_col, self.k = id_col, k
@@ -291,16 +286,16 @@ class Int8Scorer:
 
 
 def int8_topk(quant_ds, query_ids, query_matrix, *, k=10, id_col="vec_id",
-              concurrency=4, batch_size=4096):
+              batch_size=4096):
     """Global approximate cosine top-k per query over a
     ``quantize_embeddings`` table. Same partial-top-k-then-reduce shape
     as ``brute_force_topk``: the corpus streams, only
     (n_queries × k × n_blocks) partial winners move."""
-    ref = ray.put({"qids": np.asarray(query_ids, dtype=np.int64),
-                   "qmat": np.asarray(query_matrix, dtype=np.float64)})
+    q = {"qids": np.asarray(query_ids, dtype=np.int64),
+         "qmat": np.asarray(query_matrix, dtype=np.float64)}
     partials = quant_ds.map_batches(
-        Int8Scorer, batch_format="pandas", batch_size=batch_size,
-        concurrency=concurrency, fn_constructor_args=(ref, id_col, k),
+        Int8Scorer(q, id_col, k), batch_format="pandas",
+        batch_size=batch_size,
     )
 
     return partials.groupby("query_id").map_groups(
@@ -312,8 +307,7 @@ class IVFInt8Scorer(Int8Scorer):
     among each query's ``nprobe`` closest cells are scored — IVF prunes
     the matmul, int8 pruned the bytes that got here."""
 
-    def __init__(self, state_ref, id_col: str, k: int, nprobe: int):
-        s = ray.get(state_ref) if isinstance(state_ref, ray.ObjectRef) else state_ref
+    def __init__(self, s: dict, id_col: str, k: int, nprobe: int):
         super().__init__({"qids": s["qids"], "qmat": s["qmat"]}, id_col, k)
         qc = _normalize(s["qmat"]) @ s["centroids"].T
         self.probe = np.argsort(-qc, axis=1)[:, :nprobe]
@@ -343,19 +337,18 @@ class IVFInt8Scorer(Int8Scorer):
 
 
 def ivf_int8_topk(quant_ds, query_ids, query_matrix, centroids, *, k=10,
-                  nprobe=4, id_col="vec_id", concurrency=4,
-                  batch_size=4096):
+                  nprobe=4, id_col="vec_id", batch_size=4096):
     """Approximate top-k over a cell-tagged ``quantize_embeddings``
     table (the persisted IVF-int8 index): the composition of the two
     scale paths — IVF limits which vectors score (compute), int8 limits
     the bytes every scan moves (bandwidth). Same partial-top-k reduce
     as the flat paths."""
-    ref = ray.put({"qids": np.asarray(query_ids, dtype=np.int64),
-                   "qmat": np.asarray(query_matrix, dtype=np.float64),
-                   "centroids": np.asarray(centroids, dtype=np.float64)})
+    s = {"qids": np.asarray(query_ids, dtype=np.int64),
+         "qmat": np.asarray(query_matrix, dtype=np.float64),
+         "centroids": np.asarray(centroids, dtype=np.float64)}
     partials = quant_ds.map_batches(
-        IVFInt8Scorer, batch_format="pandas", batch_size=batch_size,
-        concurrency=concurrency, fn_constructor_args=(ref, id_col, k, nprobe),
+        IVFInt8Scorer(s, id_col, k, nprobe), batch_format="pandas",
+        batch_size=batch_size,
     )
 
     return partials.groupby("query_id").map_groups(
@@ -435,13 +428,12 @@ def pq_encode(ds, codebook: np.ndarray, *, id_col: str = "vec_id",
 
 
 class PQScorer:
-    """Actor: asymmetric-distance (ADC) scoring — per query a
+    """Asymmetric-distance (ADC) scoring — per query a
     (m × n_codes) lookup table of subquery·centroid dot products is
     built ONCE in __init__; each batch is m uint8 gathers + a sum,
     no float vector ever touched."""
 
-    def __init__(self, state_ref, id_col: str, k: int):
-        s = ray.get(state_ref) if isinstance(state_ref, ray.ObjectRef) else state_ref
+    def __init__(self, s: dict, id_col: str, k: int):
         self.qids = s["qids"]
         qmat = _normalize(s["qmat"])
         book = s["book"]                       # (m, n_codes, sub)
@@ -473,8 +465,7 @@ class PQScorer:
 
 
 def pq_topk(codes_ds, query_ids, query_matrix, codebook, *, k: int = 10,
-            id_col: str = "vec_id", concurrency: int = 4,
-            rerank_ds=None, vec_col: str = "embedding",
+            id_col: str = "vec_id", rerank_ds=None, vec_col: str = "embedding",
             shortlist_factor: int = 4):
     """Approximate top-k over the PQ-encoded index: broadcast
     (queries, codebook) once, ADC-score each batch of codes, reduce
@@ -490,13 +481,11 @@ def pq_topk(codes_ds, query_ids, query_matrix, codebook, *, k: int = 10,
     them."""
     qids = np.asarray(query_ids, dtype=np.int64)
     qmat = np.asarray(query_matrix, dtype=np.float64)
-    ref = ray.put({"qids": qids, "qmat": qmat,
-                   "book": np.asarray(codebook, dtype=np.float64)})
+    s = {"qids": qids, "qmat": qmat,
+         "book": np.asarray(codebook, dtype=np.float64)}
     k_adc = k * shortlist_factor if rerank_ds is not None else k
-    partials = codes_ds.map_batches(
-        PQScorer, batch_format="pandas",
-        concurrency=concurrency, fn_constructor_args=(ref, id_col, k_adc),
-    )
+    partials = codes_ds.map_batches(PQScorer(s, id_col, k_adc),
+                                    batch_format="pandas")
     adc = partials.groupby("query_id").map_groups(
         _reduce_topk("cosine_pq", id_col, k_adc), batch_format="pandas")
     if rerank_ds is None:
@@ -513,17 +502,15 @@ def pq_topk(codes_ds, query_ids, query_matrix, codebook, *, k: int = 10,
 
     filtered = rerank_ds.map_batches(keep, batch_format="pandas")
     return brute_force_topk(filtered, qids, qmat, k=k, id_col=id_col,
-                            vec_col=vec_col, concurrency=concurrency)
+                            vec_col=vec_col)
 
 
 class RangeScorer:
-    """Actor: emit every (query, vector) pair whose ROUND(cosine, 6)
-    clears the threshold — queries broadcast once per actor."""
+    """Emit every (query, vector) pair whose ROUND(cosine, 6) clears
+    the threshold — queries normalized once, when the stage is built."""
 
-    def __init__(self, queries_ref, id_col: str, vec_col: str,
+    def __init__(self, q: dict, id_col: str, vec_col: str,
                  threshold: float):
-        q = (ray.get(queries_ref)
-             if isinstance(queries_ref, ray.ObjectRef) else queries_ref)
         self.qids = q["qids"]
         self.qmat = _normalize(q["qmat"])
         self.id_col, self.vec_col = id_col, vec_col
@@ -542,8 +529,7 @@ class RangeScorer:
 
 
 def range_search(ds, query_ids, query_matrix, *, threshold=0.3,
-                 id_col="vec_id", vec_col="embedding", concurrency=4,
-                 batch_size=4096):
+                 id_col="vec_id", vec_col="embedding", batch_size=4096):
     """Cosine RANGE search: every corpus vector within the similarity
     radius of each query — the all-neighbors complement of top-k
     (retrieval recall floors, near-dup sweeps around a probe set).
@@ -555,21 +541,19 @@ def range_search(ds, query_ids, query_matrix, *, threshold=0.3,
     happens on ROUND(cosine, 6) — the same quantization the oracle and
     the top-k ranking use — so the boundary is deterministic.
     """
-    ref = ray.put({"qids": np.asarray(query_ids, dtype=np.int64),
-                   "qmat": np.asarray(query_matrix, dtype=np.float64)})
+    q = {"qids": np.asarray(query_ids, dtype=np.int64),
+         "qmat": np.asarray(query_matrix, dtype=np.float64)}
     return ds.map_batches(
-        RangeScorer, batch_format="pandas", batch_size=batch_size,
-        concurrency=concurrency,
-        fn_constructor_args=(ref, id_col, vec_col, threshold),
+        RangeScorer(q, id_col, vec_col, threshold), batch_format="pandas",
+        batch_size=batch_size,
     )
 
 
 class _MmrCandidateScorer:
-    """Actor: per-block relevance top-m prefilter that KEEPS the
+    """Per-block relevance top-m prefilter that KEEPS the
     candidate vectors (the MMR loop needs pairwise sims)."""
 
-    def __init__(self, query_ref, id_col: str, vec_col: str, m: int):
-        q = ray.get(query_ref) if isinstance(query_ref, ray.ObjectRef) else query_ref
+    def __init__(self, q: np.ndarray, id_col: str, vec_col: str, m: int):
         self.q = _normalize(np.asarray(q, dtype=np.float64)[None, :])[0]
         self.id_col, self.vec_col, self.m = id_col, vec_col, m
 
@@ -586,8 +570,7 @@ class _MmrCandidateScorer:
 
 
 def mmr_select(ds, query_vec, *, k=10, lam=0.7, candidate_factor=4,
-               id_col="vec_id", vec_col="embedding", concurrency=4,
-               batch_size=4096):
+               id_col="vec_id", vec_col="embedding", batch_size=4096):
     """Maximal-marginal-relevance diversity selection (Carbonell &
     Goldstein 1998): greedily pick k vectors maximizing
     ``λ·cos(q,d) − (1−λ)·max_{s∈S} cos(d,s)`` — the standard
@@ -602,11 +585,10 @@ def mmr_select(ds, query_vec, *, k=10, lam=0.7, candidate_factor=4,
     MMR-at-scale approximation: any pick must sit in the global
     relevance top-m (λ ≥ 0.5 keeps this tight in practice). Fully
     deterministic: round-6 scores, id-asc ties at every boundary."""
-    ref = ray.put(np.asarray(query_vec, dtype=np.float64))
     m = candidate_factor * k
     pre = ds.map_batches(
-        _MmrCandidateScorer, batch_format="pandas", batch_size=batch_size,
-        concurrency=concurrency, fn_constructor_args=(ref, id_col, vec_col, m),
+        _MmrCandidateScorer(query_vec, id_col, vec_col, m),
+        batch_format="pandas", batch_size=batch_size,
     ).to_pandas()
     # Ray drops the schema of a zero-row dataset — guard BEFORE sorting
     if not len(pre) or "relevance" not in pre.columns:
@@ -655,14 +637,13 @@ def _lsh_bucket(vecs: np.ndarray, planes: np.ndarray) -> np.ndarray:
 
 
 class _LshScorer:
-    """Actor: probe-set membership filter + exact rerank. Each query
+    """Probe-set membership filter + exact rerank. Each query
     probes its own bucket plus every Hamming-1 neighbor (flip one
     plane's bit) — the standard multiprobe that rescues vectors
     sitting just across one hyperplane."""
 
-    def __init__(self, queries_ref, id_col: str, vec_col: str, k: int,
+    def __init__(self, q: dict, id_col: str, vec_col: str, k: int,
                  n_planes: int, n_tables: int, seed: int):
-        q = ray.get(queries_ref) if isinstance(queries_ref, ray.ObjectRef) else queries_ref
         self.qids = q["qids"]
         self.qmat = _normalize(q["qmat"])
         self.id_col, self.vec_col, self.k = id_col, vec_col, k
@@ -711,7 +692,7 @@ class _LshScorer:
 
 def lsh_topk(ds, query_ids, query_matrix, *, k=10, n_planes=10,
              n_tables=4, seed=7, id_col="vec_id", vec_col="embedding",
-             concurrency=4, batch_size=4096):
+             batch_size=4096):
     """LSH-bucketed approximate top-k — the hash-partition scale path
     next to IVF (SURVEY's 'IVF or LSH-bucketed variant'): vectors land
     in signed-random-projection buckets; each query scores only the
@@ -722,13 +703,11 @@ def lsh_topk(ds, query_ids, query_matrix, *, k=10, n_planes=10,
     operational win for incremental ingestion (new data buckets
     without re-clustering). Expected candidate mass ≈ (b+1)/2^b of the
     corpus at b planes."""
-    ref = ray.put({"qids": np.asarray(query_ids, dtype=np.int64),
-                   "qmat": np.asarray(query_matrix, dtype=np.float64)})
+    q = {"qids": np.asarray(query_ids, dtype=np.int64),
+         "qmat": np.asarray(query_matrix, dtype=np.float64)}
     partials = ds.map_batches(
-        _LshScorer, batch_format="pandas", batch_size=batch_size,
-        concurrency=concurrency,
-        fn_constructor_args=(ref, id_col, vec_col, k, n_planes,
-                             n_tables, seed),
+        _LshScorer(q, id_col, vec_col, k, n_planes, n_tables, seed),
+        batch_format="pandas", batch_size=batch_size,
     )
     return partials.groupby("query_id").map_groups(
         _reduce_topk("cosine", id_col, k), batch_format="pandas")

@@ -118,7 +118,7 @@ def funnel_counts(ds, stages: list[str], *, entity_col: str = "user_id",
 
 def late_event_stats(ds, *, entity_col: str = "user_id",
                      order_col: str = "event_id", ts_col: str = "ts",
-                     num_buckets: int = 32, concurrency=None):
+                     num_buckets: int = 32):
     """Out-of-order (late-arrival) audit per entity: walking each
     entity's events in ARRIVAL order (``order_col`` — the ingest
     sequence), count events whose event-time ``ts`` is EARLIER than the
@@ -154,7 +154,7 @@ def late_event_stats(ds, *, entity_col: str = "user_id",
 
     return per_bucket(ds.select_columns([entity_col, order_col, ts_col]),
                       bucket_fn, entity_col=entity_col,
-                      num_buckets=num_buckets, concurrency=concurrency)
+                      num_buckets=num_buckets)
 
 
 SCD2_OPEN_END_US = 253_402_300_799_000_000  # 9999-12-31T23:59:59 (µs)
@@ -162,8 +162,7 @@ SCD2_OPEN_END_US = 253_402_300_799_000_000  # 9999-12-31T23:59:59 (µs)
 
 def scd2_intervals(ds, *, entity_col: str = "user_id",
                    state_col: str = "event_type", ts_col: str = "ts",
-                   tiebreak_col: str = "event_id", num_buckets: int = 32,
-                   concurrency=None):
+                   tiebreak_col: str = "event_id", num_buckets: int = 32):
     """Slowly-changing-dimension (type 2) interval build: compress each
     entity's time-ordered state stream into validity intervals
     ``[valid_from_us, valid_to_us)`` — one row per maximal run of equal
@@ -212,14 +211,12 @@ def scd2_intervals(ds, *, entity_col: str = "user_id",
 
     return per_bucket(
         ds.select_columns([entity_col, state_col, ts_col, tiebreak_col]),
-        bucket_fn, entity_col=entity_col, num_buckets=num_buckets,
-        concurrency=concurrency)
+        bucket_fn, entity_col=entity_col, num_buckets=num_buckets)
 
 
 def resample_ffill(ds, *, entity_col: str = "user_id", ts_col: str = "ts",
                    value_col: str = "value", tiebreak_col: str = "event_id",
-                   freq_us: int = 86_400_000_000, num_buckets: int = 32,
-                   concurrency=None):
+                   freq_us: int = 86_400_000_000, num_buckets: int = 32):
     """Resample an irregular event stream onto a fixed time grid with
     per-entity forward-fill: for each entity, one row per ``freq_us``
     bucket from its first to its last event bucket, carrying the LAST
@@ -264,5 +261,4 @@ def resample_ffill(ds, *, entity_col: str = "user_id", ts_col: str = "ts",
 
     return per_bucket(
         ds.select_columns([entity_col, ts_col, value_col, tiebreak_col]),
-        bucket_fn, entity_col=entity_col, num_buckets=num_buckets,
-        concurrency=concurrency)
+        bucket_fn, entity_col=entity_col, num_buckets=num_buckets)

@@ -1,9 +1,10 @@
 """Text-analysis operators for large-scale training-data pipelines:
 token counting, quality scoring, language ID, document fingerprinting.
 
-All hot paths are vectorized (pyarrow.compute / pandas str kernels) or
-amortize setup in an actor (__init__ compiles patterns / loads stopword
-tables once per actor, not per batch).
+All hot paths are vectorized (pyarrow.compute / pandas str kernels).
+Scorer classes do their setup (compile patterns, build stopword or
+weight tables) once in ``__init__``, when the stage is built; the
+instance ships with the stage and runs as stateless tasks.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ def bpe_token_count(ds, text_col: str = "text"):
 
 
 class QualityScorer:
-    """Actor-pool quality scorer: length / punctuation / stopword-ratio
-    heuristics (regex compiled once per actor)."""
+    """Quality scorer: length / punctuation / stopword-ratio heuristics
+    (regex compiled once per instance)."""
 
     def __init__(self, text_col: str = "text"):
         self.text_col = text_col
@@ -113,39 +114,15 @@ class QualityScorer:
         return df
 
 
-_SINGLETONS: dict = {}
-
-
-def _singleton(cls, text_col: str):
-    """Per-worker-process instance (setup once per process, like an
-    actor's __init__ — but for task-based stages, which fuse with
-    neighbors at full parallelism instead of being capped at the actor
-    pool's size)."""
-    key = (cls, text_col)
-    if key not in _SINGLETONS:
-        _SINGLETONS[key] = cls(text_col)
-    return _SINGLETONS[key]
-
-
-def quality_score(ds, *, concurrency=4, batch_size: int = 4096,
-                  text_col: str = "text"):
-    """``concurrency=None`` → stateless task stage (fuses freely with
-    upstream shuffle output; right choice inside composed pipelines);
-    an int/tuple → actor pool (right when setup is genuinely heavy)."""
-    if concurrency is None:
-        return ds.map_batches(
-            lambda df: _singleton(QualityScorer, text_col)(df),
-            batch_format="pandas", batch_size=batch_size,
-        )
-    return ds.map_batches(
-        QualityScorer, batch_format="pandas", concurrency=concurrency,
-        batch_size=batch_size, fn_constructor_args=(text_col,),
-    )
+def quality_score(ds, *, batch_size: int = 4096, text_col: str = "text"):
+    """Per-document ``stopword_ratio`` and ``quality_score`` columns."""
+    return ds.map_batches(QualityScorer(text_col), batch_format="pandas",
+                          batch_size=batch_size)
 
 
 class LangId:
     """Stopword/character n-gram language heuristic over
-    {en,de,fr,es,zh} (actor pool: tables built once per actor)."""
+    {en,de,fr,es,zh} (tables built once per instance)."""
 
     def __init__(self, text_col: str = "text"):
         self.text_col = text_col
@@ -191,18 +168,10 @@ class LangId:
         return df
 
 
-def lang_id(ds, *, concurrency=4, batch_size: int = 4096,
-            text_col: str = "text"):
-    """``concurrency=None`` → stateless task stage (see quality_score)."""
-    if concurrency is None:
-        return ds.map_batches(
-            lambda df: _singleton(LangId, text_col)(df),
-            batch_format="pandas", batch_size=batch_size,
-        )
-    return ds.map_batches(
-        LangId, batch_format="pandas", concurrency=concurrency,
-        batch_size=batch_size, fn_constructor_args=(text_col,),
-    )
+def lang_id(ds, *, batch_size: int = 4096, text_col: str = "text"):
+    """Per-document ``pred_lang`` column."""
+    return ds.map_batches(LangId(text_col), batch_format="pandas",
+                          batch_size=batch_size)
 
 
 _MOD61 = np.uint64((1 << 61) - 1)  # Mersenne prime 2^61 - 1
@@ -639,12 +608,11 @@ def pmi_bigrams(ds, *, text_col: str = "text", min_count: int = 5,
 class LinearScorer:
     """Batched model-inference stage: a logistic quality score over
     md5-hashed bag-of-words features — the fasttext-style linear
-    classifier shape. The weight table is built ONCE per actor in
-    ``__init__`` (the model-load step of a real classifier; here a
-    seeded integer recurrence so DuckDB can mirror it exactly), and
-    each batch is scored with one vectorized hash + bincount — no
-    per-row Python. Use as
-    ``map_batches(LinearScorer, concurrency=N, fn_constructor_args=…)``.
+    classifier shape. The weight table is built ONCE in ``__init__``
+    (the model-load step of a real classifier; here a seeded integer
+    recurrence so DuckDB can mirror it exactly), and each batch is
+    scored with one vectorized hash + bincount — no per-row Python.
+    Use as ``map_batches(LinearScorer(…))``.
 
     Weight rule (SQL-mirrorable, exact in int64):
     ``w[b] = ((b·2654435761 + seed) % 1000) / 499.5 − 1`` over
@@ -683,14 +651,13 @@ class LinearScorer:
 
 
 def linear_score(ds, *, id_col: str = "doc_id", text_col: str = "text",
-                 num_buckets: int = 64, seed: int = 1234,
-                 concurrency=4):
+                 num_buckets: int = 64, seed: int = 1234):
     """Score every document with :class:`LinearScorer` — doc-local,
-    shuffle-free; the actor pool amortizes the weight-table build."""
+    shuffle-free; the weight table is built once, with the stage."""
     return ds.select_columns([id_col, text_col]).map_batches(
-        LinearScorer, batch_format="pandas", concurrency=concurrency,
-        fn_constructor_kwargs={"id_col": id_col, "text_col": text_col,
-                               "num_buckets": num_buckets, "seed": seed})
+        LinearScorer(id_col=id_col, text_col=text_col,
+                     num_buckets=num_buckets, seed=seed),
+        batch_format="pandas")
 
 
 def feature_hash(ds, *, id_col: str = "doc_id", text_col: str = "text",
@@ -1333,16 +1300,15 @@ def bpe_apply_word(word: str, ranks: dict) -> int:
 
 
 class BpeEncoder:
-    """Actor-pool tokenizer APPLICATION: count true BPE tokens per
-    document under a TRAINED merge table (`bpe_train` output) — the
-    second half of the tokenizer lifecycle (train once, encode the
-    corpus). The merge table is a broadcast-sized model artifact: the
-    ranks dict builds once per actor in ``__init__`` (never per
-    batch), and encoding memoizes per DISTINCT word — Zipf makes the
-    distinct-word set per batch ≪ the token count, and the cache
-    carries across batches within an actor (bounded; oldest-insertion
-    eviction at ``cache_cap``). Doc-local, zero shuffles; payloads
-    never leave the read task."""
+    """Tokenizer APPLICATION: count true BPE tokens per document under
+    a TRAINED merge table (`bpe_train` output) — the second half of the
+    tokenizer lifecycle (train once, encode the corpus). The merge
+    table is a broadcast-sized model artifact: the ranks dict builds
+    once in ``__init__`` (never per batch), and encoding memoizes per
+    DISTINCT word — Zipf makes the distinct-word set per batch ≪ the
+    token count, and the cache carries across the batches of one task
+    (bounded; oldest-insertion eviction at ``cache_cap``). Doc-local,
+    zero shuffles; payloads never leave the read task."""
 
     def __init__(self, merges_records: tuple, text_col: str = "text",
                  cache_cap: int = 1 << 20):
@@ -1380,18 +1346,14 @@ class BpeEncoder:
 
 
 def bpe_encode_counts(ds, merges: pd.DataFrame, *, text_col: str = "text",
-                      concurrency=4, batch_size: int = 1024):
+                      batch_size: int = 1024):
     """Corpus-wide token accounting under a trained BPE merge table —
     what a pretraining pipeline runs to budget token counts before
-    packing. One actor-pool pass; the merge table rides as positional
-    constructor args (hashable, so Ray's operator fusion works)."""
+    packing. One doc-local pass."""
     records = tuple((int(r), str(l), str(rt)) for r, l, rt in zip(
         merges["rank"], merges["left"], merges["right"]))
-    return ds.map_batches(
-        BpeEncoder, batch_format="pandas", batch_size=batch_size,
-        concurrency=concurrency,
-        fn_constructor_args=(records, text_col),
-    )
+    return ds.map_batches(BpeEncoder(records, text_col),
+                          batch_format="pandas", batch_size=batch_size)
 
 
 def span_corrupt(ds, *, id_col: str = "doc_id", text_col: str = "text",

@@ -55,7 +55,6 @@ def per_bucket(
     *,
     entity_col: str = "conv_id",
     num_buckets: int = DEFAULT_BUCKETS,
-    concurrency=None,
     drop_bucket: bool = True,
 ):
     """Hash-bucket entities, apply ``fn`` to each sorted bucket DataFrame."""
@@ -72,7 +71,7 @@ def per_bucket(
         return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
     grouped = add_bucket(ds, entity_col, num_buckets).groupby("__bucket")
-    return grouped.map_groups(_run, batch_format="pandas", concurrency=concurrency)
+    return grouped.map_groups(_run, batch_format="pandas")
 
 
 def sort_entity(df: pd.DataFrame, entity_col: str = "conv_id",

@@ -34,6 +34,7 @@ import json
 import sys
 import time
 import traceback
+from pathlib import Path
 
 import duckdb
 import numpy as np
@@ -49,7 +50,7 @@ def _entry_module():
     if "__ray_entry__" in sys.modules:
         return sys.modules["__ray_entry__"]
     spec = importlib.util.spec_from_file_location(
-        "__ray_entry__", "/root/repo/__ray_entry__.py")
+        "__ray_entry__", Path(__file__).with_name("__ray_entry__.py"))
     mod = importlib.util.module_from_spec(spec)
     sys.modules["__ray_entry__"] = mod
     spec.loader.exec_module(mod)

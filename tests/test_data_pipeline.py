@@ -46,10 +46,10 @@ def test_minhash_join_path_equals_broadcast(ray_session, docs_with_dups):
     """The hash-join verification (scale path) == the broadcast path."""
     import ray.data as rd
 
-    a = D.minhash_lsh_pairs(rd.from_arrow(docs_with_dups), threshold=0.5,
-                            concurrency=2).to_pandas()
+    a = D.minhash_lsh_pairs(rd.from_arrow(docs_with_dups),
+                            threshold=0.5).to_pandas()
     b = D.minhash_lsh_pairs(rd.from_arrow(docs_with_dups), threshold=0.5,
-                            concurrency=2, broadcast_threshold=0).to_pandas()
+                            broadcast_threshold=0).to_pandas()
     key = ["id_a", "id_b"]
     a = a.sort_values(key, ignore_index=True)
     b = b.sort_values(key, ignore_index=True)
@@ -62,7 +62,7 @@ def test_minhash_lsh_near_dups(ray_session, docs_with_dups):
     import ray.data as rd
 
     pairs = D.minhash_lsh_pairs(
-        rd.from_arrow(docs_with_dups), threshold=0.5, concurrency=2
+        rd.from_arrow(docs_with_dups), threshold=0.5
     ).to_pandas()
     got = set(zip(pairs["id_a"], pairs["id_b"]))
     # all 10 exact-dup pairs (jaccard 1.0) must be found
@@ -81,8 +81,8 @@ def test_minhash_lsh_near_dups(ray_session, docs_with_dups):
 def test_simhash_pairs(ray_session, docs_with_dups):
     import ray.data as rd
 
-    pairs = D.simhash_pairs(rd.from_arrow(docs_with_dups), max_hamming=6,
-                            concurrency=2).to_pandas()
+    pairs = D.simhash_pairs(rd.from_arrow(docs_with_dups),
+                            max_hamming=6).to_pandas()
     got = set(zip(pairs["id_a"], pairs["id_b"]))
     for j, orig in enumerate(range(0, 10)):
         assert (orig, 50 + j) in got  # exact dups → hamming 0
@@ -101,7 +101,7 @@ def test_embedding_neardup_and_ann(ray_session):
     # brute-force top-k vs numpy oracle
     qids = pdf["vec_id"].to_numpy()[:5]
     qmat = mat[:5]
-    out = S.brute_force_topk(emb, qids, qmat, k=10, concurrency=2).to_pandas()
+    out = S.brute_force_topk(emb, qids, qmat, k=10).to_pandas()
     sims = (qmat / np.linalg.norm(qmat, axis=1, keepdims=True)) @ nmat.T
     for qi, qid in enumerate(qids):
         mine = out[out.query_id == qid].sort_values("rank")["vec_id"].to_numpy()
@@ -110,7 +110,7 @@ def test_embedding_neardup_and_ann(ray_session):
         assert list(mine) == list(want), f"query {qid}"
 
     # IVF recall vs brute force
-    ivf = S.ivf_topk(emb, qids, qmat, k=10, n_cells=8, nprobe=3, concurrency=2).to_pandas()
+    ivf = S.ivf_topk(emb, qids, qmat, k=10, n_cells=8, nprobe=3).to_pandas()
     recalls = []
     for qid in qids:
         bf = set(out[out.query_id == qid]["vec_id"])
@@ -122,7 +122,7 @@ def test_embedding_neardup_and_ann(ray_session):
     dup = pdf.head(3).copy()
     dup["vec_id"] = dup["vec_id"] + 10_000  # exact duplicate vectors
     both = rd.from_arrow(pa.Table.from_pandas(pd.concat([pdf, dup]), preserve_index=False))
-    pairs = D.embedding_neardup_pairs(both, threshold=0.99, concurrency=2).to_pandas()
+    pairs = D.embedding_neardup_pairs(both, threshold=0.99).to_pandas()
     got = set(zip(pairs["id_a"], pairs["id_b"]))
     for v in dup["vec_id"]:
         assert (v - 10_000, v) in got
@@ -272,8 +272,7 @@ def test_rolling_fingerprint_matches_naive():
 def test_dedup_groups_from_minhash(ray_session, docs_with_dups):
     import ray.data as rd
 
-    pairs = D.minhash_lsh_pairs(rd.from_arrow(docs_with_dups), threshold=0.5,
-                                concurrency=2)
+    pairs = D.minhash_lsh_pairs(rd.from_arrow(docs_with_dups), threshold=0.5)
     groups = D.dedup_groups(pairs).to_pandas()
     got = dict(zip(groups["node"], groups["component"]))
     # each exact duplicate joins its original's group (keeper = min id)
@@ -306,14 +305,14 @@ def test_quality_and_langid(ray_session):
     import ray.data as rd
 
     docs = rd.read_parquet(f"{SF}/documents.parquet")
-    q = T.quality_score(docs, concurrency=2).to_pandas()
+    q = T.quality_score(docs).to_pandas()
     assert ((q["quality_score"] >= 0) & (q["quality_score"] <= 1)).all()
     assert ((q["stopword_ratio"] >= 0) & (q["stopword_ratio"] <= 1)).all()
 
-    lid = T.lang_id(docs, concurrency=2).to_pandas()
+    lid = T.lang_id(docs).to_pandas()
     assert set(lid["pred_lang"]) <= {"en", "de", "fr", "es", "zh"}
     # deterministic
-    lid2 = T.lang_id(docs, concurrency=2).to_pandas()
+    lid2 = T.lang_id(docs).to_pandas()
     a = lid.sort_values("doc_id")["pred_lang"].to_numpy()
     b = lid2.sort_values("doc_id")["pred_lang"].to_numpy()
     assert (a == b).all()
@@ -323,7 +322,7 @@ def test_multimodal_stub(ray_session):
     import ray.data as rd
 
     media = M.synth_media_table(100, seed=21)
-    out = M.decode_features(rd.from_arrow(media), concurrency=2,
+    out = M.decode_features(rd.from_arrow(media),
                             batch_size=16).to_pandas()
     assert len(out) == 100
     assert "payload" not in out.columns  # bytes dropped after decode
@@ -402,8 +401,8 @@ def test_curate_corpus_matches_stagewise(ray_session):
         "text": texts, "source": srcs,
     })
     ds = rd.from_arrow(pa.Table.from_pandas(docs_pdf, preserve_index=False))
-    got = curate_corpus(ds.repartition(3), lang="en", quality_min=0.3,
-                        concurrency=2).to_pandas()
+    got = curate_corpus(ds.repartition(3), lang="en",
+                        quality_min=0.3).to_pandas()
     got = got.sort_values("source", ignore_index=True)
 
     # stagewise pandas reference using the engine's own scalar stages
@@ -436,7 +435,7 @@ def test_multimodal_resize_and_frames(ray_session):
     media = M.synth_media_table(120, seed=21)
     ds = rd.from_arrow(media).repartition(2)
 
-    resized = M.resize_images(ds, width=32, height=32, concurrency=1).to_pandas()
+    resized = M.resize_images(ds, width=32, height=32).to_pandas()
     src = media.to_pandas().set_index("media_id")
     budget = (32 * 32) // 64
     for _, r in resized.iterrows():
@@ -446,7 +445,7 @@ def test_multimodal_resize_and_frames(ray_session):
         else:
             assert r["payload"] == orig
 
-    frames = M.sample_frames(ds, every_s=1.0, concurrency=1).to_pandas()
+    frames = M.sample_frames(ds, every_s=1.0).to_pandas()
     assert set(frames.columns) == {"media_id", "frame_idx", "frame_ts_s", "frame_payload"}
     vids = src[src["kind"] == "video"]
     assert set(frames["media_id"]) <= set(vids.index)
@@ -455,7 +454,7 @@ def test_multimodal_resize_and_frames(ray_session):
         assert sorted(g["frame_idx"]) == list(range(len(g)))
         assert (g["frame_payload"].str.len() > 0).all()
     # two runs identical
-    frames2 = M.sample_frames(ds, every_s=1.0, concurrency=1).to_pandas()
+    frames2 = M.sample_frames(ds, every_s=1.0).to_pandas()
     a = frames.sort_values(["media_id", "frame_idx"], ignore_index=True)
     b = frames2.sort_values(["media_id", "frame_idx"], ignore_index=True)
     pd.testing.assert_frame_equal(a, b)

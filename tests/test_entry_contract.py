@@ -2,56 +2,30 @@
 entry at sf0.001 and compare against its ``oracle_sql()`` via DuckDB
 (row count, column names, order-insensitive values)."""
 
+import ast
 import importlib.util
-import sys
+from pathlib import Path
 
-import duckdb
 import numpy as np
 import pandas as pd
 import pytest
 
 SF_DIR = "/root/testdata/sf0.001"
-TABLES = [
-    "region", "nation", "customer", "supplier", "part", "orders",
-    "lineitem", "events", "documents", "embeddings",
-]
+REPO = Path(__file__).resolve().parents[1]
 
 
-def _entry_module():
-    if "__ray_entry__" in sys.modules:
-        return sys.modules["__ray_entry__"]
-    spec = importlib.util.spec_from_file_location("__ray_entry__", "/root/repo/__ray_entry__.py")
+def _load_sweep():
+    spec = importlib.util.spec_from_file_location("sweep", REPO / "sweep.py")
     mod = importlib.util.module_from_spec(spec)
-    sys.modules["__ray_entry__"] = mod
     spec.loader.exec_module(mod)
     return mod
 
 
-def _duck():
-    con = duckdb.connect()
-    for t in TABLES:
-        con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF_DIR}/{t}.parquet')")
-    return con
-
-
-def _to_pandas(res) -> pd.DataFrame:
-    if isinstance(res, pd.DataFrame):
-        return res
-    if hasattr(res, "to_pandas"):
-        return res.to_pandas()
-    raise TypeError(type(res))
-
-
-def _normalize(df: pd.DataFrame) -> pd.DataFrame:
-    df = df[sorted(df.columns)].copy()
-    for c in df.columns:
-        if pd.api.types.is_datetime64_any_dtype(df[c]):
-            df[c] = df[c].astype("datetime64[us]")
-        elif pd.api.types.is_float_dtype(df[c]):
-            df[c] = df[c].astype(np.float64)
-        elif pd.api.types.is_integer_dtype(df[c]):
-            df[c] = df[c].astype(np.int64)
-    return df.sort_values(list(df.columns), ignore_index=True, na_position="last")
+# one compare implementation: the normalization, DuckDB views and
+# registry loader are sweep.py's
+_sweep = _load_sweep()
+_entry_module, _normalize, _to_pandas = (
+    _sweep._entry_module, _sweep._normalize, _sweep._to_pandas)
 
 
 def assert_frames_match(mine: pd.DataFrame, want: pd.DataFrame, name: str):
@@ -90,7 +64,7 @@ def test_query_vs_oracle(ray_session, name):
     mod = _entry_module()
     mine = _to_pandas(mod.queries()[name](SF_DIR))
     # oracle derivations (PCA components) must follow the compare dir
-    want = _duck().execute(mod.oracle_sql(SF_DIR)[name]).df()
+    want = _sweep._duck(SF_DIR).execute(mod.oracle_sql(SF_DIR)[name]).df()
     assert_frames_match(mine, want, name)
 
 
@@ -138,3 +112,22 @@ def test_rows_only_queries_run(ray_session):
     for name in sorted(non_sql):
         df = _to_pandas(mod.queries()[name](SF_DIR))
         assert len(df) > 0, name
+
+
+def test_registry_is_the_query_module():
+    """``queries()`` holds exactly the public ``q*`` functions defined
+    in pipelines/queries.py (read from its source), ``DRIVER_WINDOW``
+    first and the rest in definition order; the window is 50 unique
+    names, each with an oracle."""
+    from pystreamfs_ray.pipelines import queries as q
+
+    tree = ast.parse(Path(q.__file__).read_text())
+    defined = [n.name for n in tree.body
+               if isinstance(n, ast.FunctionDef) and n.name.startswith("q")]
+    mod = _entry_module()
+    window = list(mod.DRIVER_WINDOW)
+    reg = mod.queries()
+    assert list(reg) == window + [n for n in defined if n not in window]
+    assert all(reg[n] is getattr(q, n) for n in reg)
+    assert len(window) == len(set(window)) == 50
+    assert set(window) <= set(mod.oracle_sql())

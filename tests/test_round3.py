@@ -104,9 +104,9 @@ def test_ivf_recall_on_cluster_sorted_input(ray_session):
     qids = np.array([0, 150, 300, 450], dtype=np.int64)
     qmat = np.stack([rows[q][1] for q in qids])
 
-    exact = brute_force_topk(emb, qids, qmat, k=10, concurrency=2).to_pandas()
+    exact = brute_force_topk(emb, qids, qmat, k=10).to_pandas()
     approx = ivf_topk(emb, qids, qmat, k=10, n_cells=8, nprobe=4,
-                      train_sample=256, concurrency=2).to_pandas()
+                      train_sample=256).to_pandas()
     hits = 0
     for q in qids:
         e = set(exact[exact["query_id"] == q]["vec_id"])
@@ -405,7 +405,7 @@ def test_embedding_neardup_pair_distinct_vectorized(ray_session):
     ds = rd.from_pandas(pd.DataFrame({
         "vec_id": np.arange(len(vecs), dtype=np.int64),
         "embedding": [v.tolist() for v in vecs]}))
-    out = embedding_neardup_pairs(ds, threshold=0.99, concurrency=2).to_pandas()
+    out = embedding_neardup_pairs(ds, threshold=0.99).to_pandas()
     got = set(zip(out["id_a"], out["id_b"]))
     assert {(i, 20 + i) for i in range(5)} <= got
     # distinct: no duplicated pair rows survive the multi-table union

@@ -382,9 +382,8 @@ def test_ann_recall_bounds(ray_session):
     qmat = np.stack([np.asarray(v, dtype=np.float64)
                      for v in qdf["embedding"]])
     qids = qdf["vec_id"].to_numpy()
-    exact = brute_force_topk(emb, qids, qmat, k=10, concurrency=2).to_pandas()
-    full = ivf_topk(emb, qids, qmat, k=10, n_cells=16, nprobe=16,
-                    concurrency=2).to_pandas()
+    exact = brute_force_topk(emb, qids, qmat, k=10).to_pandas()
+    full = ivf_topk(emb, qids, qmat, k=10, n_cells=16, nprobe=16).to_pandas()
     assert _recall_frame(exact, full)["recall"].mean() >= 0.99
 
 
@@ -628,8 +627,7 @@ def test_linear_score_matches_direct(ray_session):
                        "text": ["the cat sat", "a b a b c", "",
                                 "   ", "unique words here now",
                                 "the the the"]})
-    got = (linear_score(ray.data.from_pandas([df.iloc[:3], df.iloc[3:]]),
-                        concurrency=2)
+    got = (linear_score(ray.data.from_pandas([df.iloc[:3], df.iloc[3:]]))
            .to_pandas().sort_values("doc_id", ignore_index=True))
 
     sc = LinearScorer()
@@ -755,7 +753,7 @@ def test_round4_ops_empty_input_safety(ray_session):
         "id_b": pd.Series([], dtype=np.int64)}))
 
     results = [
-        linear_score(docs, concurrency=2),
+        linear_score(docs),
         bigram_logprob(docs),
         fingerprint_index(docs),
         incremental_exact_dedup(docs, fingerprint_index(docs),
@@ -847,8 +845,8 @@ def test_int8_ann_recall_and_error_bound(ray_session):
 
     qids = np.arange(5, dtype=np.int64)
     qmat = mat[:5]
-    ex = brute_force_topk(ds, qids, qmat, k=10, concurrency=2).to_pandas()
-    ap = int8_topk(quant, qids, qmat, k=10, concurrency=2).to_pandas()
+    ex = brute_force_topk(ds, qids, qmat, k=10).to_pandas()
+    ap = int8_topk(quant, qids, qmat, k=10).to_pandas()
     recalls = []
     for qid in qids:
         true = set(ex.loc[ex["query_id"] == qid, "vec_id"])
@@ -858,7 +856,7 @@ def test_int8_ann_recall_and_error_bound(ray_session):
 
     # partition invariance: the reduce is deterministic
     ap2 = int8_topk(quantize_embeddings(ds.repartition(9)), qids, qmat,
-                    k=10, concurrency=2).to_pandas()
+                    k=10).to_pandas()
     a = ap.sort_values(["query_id", "rank"]).reset_index(drop=True)
     b = ap2.sort_values(["query_id", "rank"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(a[["query_id", "vec_id", "rank"]],
@@ -923,9 +921,8 @@ def test_ivf_int8_composition(ray_session):
 
     qids = np.arange(6, dtype=np.int64)
     qmat = mat[:6]
-    flat = int8_topk(quant, qids, qmat, k=10, concurrency=2).to_pandas()
-    full = ivf_int8_topk(quant, qids, qmat, cents, k=10, nprobe=8,
-                         concurrency=2).to_pandas()
+    flat = int8_topk(quant, qids, qmat, k=10).to_pandas()
+    full = ivf_int8_topk(quant, qids, qmat, cents, k=10, nprobe=8).to_pandas()
     # full probe scans every vector, so the two paths see identical
     # candidates; compare per-query top-k SETS + scores (not rank
     # order: the flat path scores via a 2-D sgemm, the probed path via
@@ -939,9 +936,8 @@ def test_ivf_int8_composition(ray_session):
         np.testing.assert_allclose(f.sort_index().to_numpy(),
                                    g.sort_index().to_numpy(), atol=1e-5)
 
-    exact = brute_force_topk(ds, qids, qmat, k=10, concurrency=2).to_pandas()
-    part = ivf_int8_topk(quant, qids, qmat, cents, k=10, nprobe=2,
-                         concurrency=2).to_pandas()
+    exact = brute_force_topk(ds, qids, qmat, k=10).to_pandas()
+    part = ivf_int8_topk(quant, qids, qmat, cents, k=10, nprobe=2).to_pandas()
     recalls = []
     for qid in qids:
         true = set(exact.loc[exact["query_id"] == qid, "vec_id"])
@@ -1022,8 +1018,7 @@ def test_new_ops_partition_invariance(ray_session):
             .sort_values("bucket", ignore_index=True),
             snapshot_diff(d, db, num_partitions=2).to_pandas()
             .sort_values("source", ignore_index=True),
-            late_event_stats(e, order_col="arrival", num_buckets=4,
-                             concurrency=2).to_pandas()
+            late_event_stats(e, order_col="arrival", num_buckets=4).to_pandas()
             .sort_values("user_id", ignore_index=True),
         )
 
@@ -1191,9 +1186,9 @@ def test_pq_recall_and_determinism(ray_session):
 
     qmat = vecs[:5]
     t2 = pq_topk(pq_encode(ds2, book), np.arange(5), qmat,
-                 book, k=10, concurrency=2).to_pandas()
-    t7 = pq_topk(pq_encode(ds7, book), np.arange(5), qmat, book, k=10,
-                 concurrency=2).to_pandas()
+                 book, k=10).to_pandas()
+    t7 = pq_topk(pq_encode(ds7, book), np.arange(5), qmat, book,
+                 k=10).to_pandas()
     key = ["query_id", "rank"]
     pd.testing.assert_frame_equal(
         t2.sort_values(key, ignore_index=True)[key + ["vec_id"]],
@@ -1219,13 +1214,12 @@ def test_pq_rerank_exactness(ray_session):
     qids = qdf["vec_id"].to_numpy()
     n = emb.count()
 
-    exact = brute_force_topk(emb, qids, qmat, k=10,
-                             concurrency=2).to_pandas()
+    exact = brute_force_topk(emb, qids, qmat, k=10).to_pandas()
     book = train_pq_codebook(emb, m=8, n_codes=16)
     codes = pq_encode(emb, book)
 
     # shortlist covering the whole corpus -> bit-identical to exact
-    full = pq_topk(codes, qids, qmat, book, k=10, concurrency=2,
+    full = pq_topk(codes, qids, qmat, book, k=10,
                    rerank_ds=emb, shortlist_factor=(n // 10) + 1
                    ).to_pandas()
     key = ["query_id", "rank"]
@@ -1235,9 +1229,8 @@ def test_pq_rerank_exactness(ray_session):
 
     # modest shortlist: recall(rerank) >= recall(pure ADC)
     truth = {q: set(g["vec_id"]) for q, g in exact.groupby("query_id")}
-    adc = pq_topk(codes, qids, qmat, book, k=10,
-                  concurrency=2).to_pandas()
-    rer = pq_topk(codes, qids, qmat, book, k=10, concurrency=2,
+    adc = pq_topk(codes, qids, qmat, book, k=10).to_pandas()
+    rer = pq_topk(codes, qids, qmat, book, k=10,
                   rerank_ds=emb, shortlist_factor=3).to_pandas()
 
     def mean_recall(df):
@@ -1512,19 +1505,18 @@ def test_incremental_minhash_cross_side_only(ray_session):
             return df[df["doc_id"].to_numpy() % 2 == parity]
         return fn
 
-    # concurrency=1 + pre-materialized index: two live 2-actor pools
-    # would reserve all 4 fixture CPUs and starve the shuffle
+    # materialized like a persisted index: the stage reads it twice
+    # (banding and verification)
     idx_sigs = minhash_signatures(
-        docs0.map_batches(side(0), batch_format="pandas"),
-        concurrency=1).materialize()
+        docs0.map_batches(side(0), batch_format="pandas")).materialize()
     got = incremental_minhash_pairs(
         docs0.map_batches(side(1), batch_format="pandas"), idx_sigs,
-        threshold=0.2, concurrency=1).to_pandas()
+        threshold=0.2).to_pandas()
     assert (got["doc_id"] % 2 == 1).all()
     assert (got["dup_of"] % 2 == 0).all()
     docs = read_parquet(sf + "/documents.parquet",
                         columns=["doc_id", "text"])
-    full = minhash_lsh_pairs(docs, threshold=0.2, concurrency=1).to_pandas()
+    full = minhash_lsh_pairs(docs, threshold=0.2).to_pandas()
     cross = full[(full["id_a"] % 2) != (full["id_b"] % 2)]
     want = set()
     for a, b, j in cross.itertuples(index=False):
@@ -1699,9 +1691,8 @@ def test_session3_ops_empty_input_safety(ray_session):
         "b": pd.Series([], dtype=np.int64)}))
 
     assert prefix_dedup(docs, text_col="text", num_partitions=4).count() == 0
-    sigs = minhash_signatures(docs, concurrency=1).materialize()
+    sigs = minhash_signatures(docs).materialize()
     assert incremental_minhash_pairs(docs, sigs, threshold=0.2,
-                                     concurrency=1,
                                      num_partitions=2).count() == 0
     p = psi_drift(ev, bins=10, lo_cents=0, hi_cents=50_000)
     assert len(p) == 0 and list(p.columns) == ["day", "psi"]
@@ -1729,8 +1720,8 @@ def test_range_search_matches_bruteforce(ray_session):
     mat = mat / np.linalg.norm(mat, axis=1, keepdims=True)
     q = pdf[pdf["vec_id"] < 5]
     qmat = np.stack([np.asarray(v, np.float64) for v in q["embedding"]])
-    got = range_search(emb, q["vec_id"].to_numpy(), qmat, threshold=0.3,
-                       concurrency=1).to_pandas()
+    got = range_search(emb, q["vec_id"].to_numpy(), qmat,
+                       threshold=0.3).to_pandas()
     qn = qmat / np.linalg.norm(qmat, axis=1, keepdims=True)
     sims = np.round(qn @ mat.T, 6)
     qi, vi = np.nonzero(sims >= 0.3)

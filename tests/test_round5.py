@@ -52,7 +52,7 @@ def test_bpe_encode_counts_distributed_matches_sequential(ray_session):
                        "text": texts})
     ds = rd.from_pandas(df).repartition(5)
     merges = bpe_train(ds, num_merges=12)
-    got = (bpe_encode_counts(ds, merges, concurrency=2, batch_size=4)
+    got = (bpe_encode_counts(ds, merges, batch_size=4)
            .to_pandas().set_index("doc_id").sort_index())
 
     ranks = {(l, r): k for k, l, r in zip(
@@ -179,7 +179,7 @@ def test_mmr_select_prefers_diversity(ray_session):
                        "embedding": list(mat)})
     ds = rd.from_pandas(df).repartition(4)
 
-    sel = mmr_select(ds, q, k=6, lam=0.5, concurrency=2)
+    sel = mmr_select(ds, q, k=6, lam=0.5)
     clusters = (sel["vec_id"].to_numpy() // 20)
     # the redundancy penalty forces the SECOND pick to the other
     # cluster (a pure-relevance ranking keeps them interleaved only by
@@ -188,7 +188,7 @@ def test_mmr_select_prefers_diversity(ray_session):
     assert len(set(clusters.tolist())) == 2, sel
 
     # λ=1: pure relevance — matches brute-force cosine top-k order
-    sel_rel = mmr_select(ds, q, k=6, lam=1.0, concurrency=2)
+    sel_rel = mmr_select(ds, q, k=6, lam=1.0)
     sims = (mat / np.linalg.norm(mat, axis=1, keepdims=True)) @ (
         q / np.linalg.norm(q))
     order = np.lexsort((np.arange(len(mat)), -np.round(sims, 6)))[:6]
@@ -214,8 +214,7 @@ def test_mmr_select_prefers_diversity(ray_session):
     # distributed result equals the exact brute-force MMR; the default
     # m = 4k prefilter is the documented approximation (it chose a
     # same-score different-id pick above, which is fine)
-    sel_full = mmr_select(ds, q, k=6, lam=0.5, candidate_factor=8,
-                          concurrency=2)
+    sel_full = mmr_select(ds, q, k=6, lam=0.5, candidate_factor=8)
     assert sel_full["vec_id"].tolist() == brute_mmr(6, 0.5)
 
 
@@ -244,17 +243,15 @@ def test_lsh_topk_recall_and_determinism(ray_session):
     ds = rd.from_pandas(df).repartition(4)
     qids = np.arange(6, dtype=np.int64)
     qmat = mat[:6]
-    exact = brute_force_topk(ds, qids, qmat, k=10, concurrency=2).to_pandas()
-    ap = lsh_topk(ds, qids, qmat, k=10, n_planes=8, n_tables=2,
-                  concurrency=2).to_pandas()
+    exact = brute_force_topk(ds, qids, qmat, k=10).to_pandas()
+    ap = lsh_topk(ds, qids, qmat, k=10, n_planes=8, n_tables=2).to_pandas()
     recalls = [
         len(set(exact.loc[exact["query_id"] == q, "vec_id"])
             & set(ap.loc[ap["query_id"] == q, "vec_id"])) / 10
         for q in qids]
     assert np.mean(recalls) >= 0.9, recalls
 
-    again = lsh_topk(ds, qids, qmat, k=10, n_planes=8, n_tables=2,
-                     concurrency=2).to_pandas()
+    again = lsh_topk(ds, qids, qmat, k=10, n_planes=8, n_tables=2).to_pandas()
     pd.testing.assert_frame_equal(
         ap.sort_values(["query_id", "vec_id"], ignore_index=True),
         again.sort_values(["query_id", "vec_id"], ignore_index=True))
@@ -380,11 +377,10 @@ def test_round5_stages_empty_input_safety(ray_session):
         "vec_id": pd.Series([], dtype=np.int64),
         "embedding": pd.Series([], dtype=object)}))
     q = np.ones(8)
-    sel = mmr_select(empty, q, k=5, concurrency=1)
+    sel = mmr_select(empty, q, k=5)
     assert len(sel) == 0 and "mmr_rank" in sel.columns
 
-    lsh = lsh_topk(empty, np.array([0]), q[None, :], k=5,
-                   concurrency=1).to_pandas()
+    lsh = lsh_topk(empty, np.array([0]), q[None, :], k=5).to_pandas()
     assert len(lsh) == 0
 
     docs = rd.from_pandas(pd.DataFrame({
@@ -392,7 +388,7 @@ def test_round5_stages_empty_input_safety(ray_session):
         "text": pd.Series([], dtype=str)}))
     merges = bpe_train(docs, num_merges=4)
     assert len(merges) == 0
-    enc = bpe_encode_counts(docs, merges, concurrency=1).to_pandas()
+    enc = bpe_encode_counts(docs, merges).to_pandas()
     assert len(enc) == 0
 
 

@@ -196,8 +196,7 @@ def test_late_event_stats_hand_case(ray_session):
                for t in (10, 5, 8, 10, 3, 3, 7)],
     })
     out = (late_event_stats(rd.from_pandas(df).repartition(3),
-                            order_col="arrival", num_buckets=2,
-                            concurrency=2)
+                            order_col="arrival", num_buckets=2)
            .to_pandas().set_index("user_id").sort_index())
     # A: arrivals ts 10,5,8,10 → late: 5 (by 5), 8 (by 2); 10==max not late
     assert out.loc["A", "n_events"] == 4
