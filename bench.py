@@ -47,11 +47,6 @@ SKIP_QUERIES = os.environ.get("BENCH_SKIP_QUERIES") == "1"
 HEADLINE_KERNELS = ["ofs", "efs", "fsds"]
 EVAL_HISTORY = 10_000
 MEGA_TURNS = 10_000
-# memory-probe cadence: the ~10 µs /proc read per window is ~2.5% of
-# selector wall at cadence 1; the headline samples every 16th window
-# (mem_bytes repeats the last sample in between — RSS moves far slower
-# than a window). Set to 1 for strict reference parity.
-MEM_PROBE_EVERY = int(os.environ.get("BENCH_MEM_PROBE_EVERY", "16"))
 
 BENCH_QUERIES = [
     "q1_lineitem_agg",
@@ -191,7 +186,6 @@ def run_bench() -> dict:
             kernel=HEADLINE_KERNELS, batch_size=50, num_features=5,
             num_buckets=num_buckets,
             evaluate="knn", max_history=EVAL_HISTORY,
-            mem_probe_every=MEM_PROBE_EVERY,
         ).materialize()
         # join sides are small (labels + window rows): coalesce to a few
         # blocks and a modest bucket count so the join isn't latency-bound

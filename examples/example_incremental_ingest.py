@@ -98,7 +98,7 @@ def main(sf_dir: str = "/root/testdata/sf0.001",
         # banding — the corpus's internal pairs are never formed)
         near = incremental_minhash_pairs(
             kept.select_columns(["doc_id", "text"]), read_sigs(),
-            threshold=0.5, num_partitions=2).materialize()
+            threshold=0.5).materialize()
         n_near = near.count()
         kept.write_parquet(os.path.join(kept_dir, f"run={run}"))
         # union the new fingerprints + signatures in for the next run

@@ -6,10 +6,12 @@
         --evaluate knn --max-history 10000 \
         --out /data/out --checkpoint-dir /data/ckpt --num-buckets 256
 
-Writes three partitioned Parquet directories under --out (windows/,
-joined/, summary/) — a directory of part files per stage, so a rerun
-with --checkpoint-dir skips finished selector buckets and overwrites
-outputs idempotently.
+Writes under --out two Parquet directories of part files, windows/ and
+joined/ (joined/ only with --labels), and one summary.parquet file.
+With --checkpoint-dir every selector bucket also writes its windows and
+a MANIFEST.json (rows/s, watermark lag) to bucket=<id>/ there. A rerun
+recomputes every bucket: the CLI never reads those checkpoints back
+(``state.checkpoint.resume_selector`` is the resume path).
 
 Owns its Ray session (guarded init) — the only module besides bench.py
 and the test fixture allowed to.

@@ -12,9 +12,10 @@ Stages and shuffles:
    ``flagship`` materializes the window Dataset here, so the fold runs
    once for the join and the summary below;
 3. as-of join of window-end feature state onto label timestamps (zero
-   leakage, ``stages/asof.py``). At most ``asof.BROADCAST_MAX_BYTES``
-   in memory the window side is broadcast and each label batch probes
-   it in one ``map_batches`` (no shuffle), above that both sides go
+   leakage, ``stages/asof.py``). At most ``util.BROADCAST_MAX_BYTES``
+   in memory (``util.fits_broadcast``) the window side is broadcast and
+   each label batch probes it in one ``map_batches`` (no shuffle), above
+   that both sides go
    through shuffle #2, a hash shuffle on the entity. Windows of several
    kernels share (conv_id, ts_end) and the ``kernel`` column is not
    joined: the tie goes to the window that comes last in the window
@@ -47,7 +48,6 @@ def feature_windows(
     streaming: bool = False,
     flush: bool = True,
     load_state: bool = False,
-    mem_probe_every: int = 1,
 ):
     """transcripts → per-(entity, window) selector output Dataset (lazy).
 
@@ -69,7 +69,6 @@ def feature_windows(
         streaming=streaming,
         flush=flush,
         load_state=load_state,
-        mem_probe_every=mem_probe_every,
     )
 
 

@@ -1878,7 +1878,7 @@ def q_temperature_mix(sf_dir: str):
 def q_unigram_logprob(sf_dir: str):
     """CCNet-style quality proxy: per-doc mean token −ln p(w) under the
     corpus unigram LM (one vocab-sized aggregate + broadcast scoring;
-    join path above the vocab threshold)."""
+    join path above the broadcast gate)."""
     from pystreamfs_ray.stages.textstats import unigram_logprob
 
     docs = read_parquet(_p(sf_dir, "documents"), columns=["doc_id", "text"])
@@ -2368,8 +2368,7 @@ def q_dup_ngrams(sf_dir: str):
 
     docs = read_parquet(_p(sf_dir, "documents"),
                         columns=["doc_id", "text"])
-    return dup_ngram_stats(
-        docs, n=5, num_partitions=_join_partitions(docs))
+    return dup_ngram_stats(docs, n=5)
 
 
 def q_corpus_stopwords(sf_dir: str):

@@ -14,7 +14,8 @@ size picks one of two paths that differ only in how rows meet; both
 hand one left table and the right rows of its entities to the same
 per-entity merge (``_merge``):
 
-- **broadcast** (right side at most ``BROADCAST_MAX_BYTES``): the right
+- **broadcast** (right side at most ``util.BROADCAST_MAX_BYTES``, the
+  ``util.fits_broadcast`` gate every small-side stage shares): the right
   rows are gathered by the calling process, indexed once (a stable sort
   on a hash of the entity key, plus the row range of each distinct
   hash) and put in the object store. ONE ``map_batches`` over the left side
@@ -49,12 +50,7 @@ import pyarrow.compute as pc
 import ray
 
 from pystreamfs_ray.stages.window import DEFAULT_BUCKETS
-from pystreamfs_ray.util import bucket_array
-
-# Largest right side (in-memory bytes, from block metadata) that is
-# broadcast instead of shuffled. It bounds the gather into the calling
-# process and the copy each node keeps in its object store.
-BROADCAST_MAX_BYTES = 256 * 1024 * 1024
+from pystreamfs_ray.util import bucket_array, fits_broadcast
 
 _RTS = "__rts"
 _SIDE = "__side"
@@ -172,9 +168,9 @@ def asof_join(
 ):
     """Point-in-time join of ``right_ds`` features onto ``left_ds`` rows.
 
-    Broadcasts the right side when its in-memory size is at most
-    ``BROADCAST_MAX_BYTES``, else shuffles both sides into
-    ``num_buckets`` entity buckets; the output is the same either way."""
+    Broadcasts the right side when ``util.fits_broadcast`` admits it,
+    else shuffles both sides into ``num_buckets`` entity buckets; the
+    output is the same either way."""
     def merge(left: pa.Table, right: pa.Table) -> pa.Table:
         return _merge(left, right, by=by, left_on=left_on, how=how,
                       direction=direction,
@@ -185,9 +181,7 @@ def asof_join(
     right = right_ds.materialize()
     blocks = [b for bundle in right.iter_internal_ref_bundles()
               for b in bundle.blocks]
-    right_bytes = sum(meta.size_bytes or 0 for _, meta in blocks)
-    if right_bytes <= BROADCAST_MAX_BYTES or not any(
-            meta.num_rows for _, meta in blocks):
+    if fits_broadcast(right):
         ref = ray.put(_index_right(blocks, by, right_on))
 
         def probe(batch: pa.Table) -> pa.Table:

@@ -8,7 +8,8 @@ pairs built with one vectorized pass per batch (no per-row Python).
 The eval side (a benchmark suite) is tiny relative to the corpus, so
 its distinct gram hashes are broadcast once and corpus grams filter
 against them vectorized — ONE shuffle total; a distributed hash join
-is the automatic fallback when the eval side is too big to broadcast.
+is the automatic fallback when the eval side fails
+``util.fits_broadcast`` (the one broadcast gate).
 Gram hashes are md5-low-64 (`dedup._md5_lower64`) so every result is
 DuckDB-oracle-checkable via ``md5_number_lower``. Membership in the
 eval set is a deterministic hash predicate on the id (same rule as
@@ -81,9 +82,7 @@ def _hash_member_mask(ids, rate: float) -> np.ndarray:
 
 
 def decontaminate(ds, *, n: int = 4, eval_rate: float = 0.10,
-                  id_col: str = "doc_id", text_col: str = "text",
-                  num_partitions: int | None = None,
-                  broadcast_threshold: int = 5_000_000):
+                  id_col: str = "doc_id", text_col: str = "text"):
     """(id, n_shared) for every NON-eval document sharing at least one
     word n-gram with any eval document. ``n_shared`` counts the
     document's distinct contaminated grams.
@@ -92,12 +91,15 @@ def decontaminate(ds, *, n: int = 4, eval_rate: float = 0.10,
     construction, so the default path broadcasts its distinct gram
     hashes once (``ray.put`` → zero-copy shared numpy in every task)
     and filters corpus grams with a vectorized ``searchsorted`` —
-    leaving ONE shuffle total (the final grouped count). Above
-    ``broadcast_threshold`` distinct eval grams it falls back to a
+    leaving ONE shuffle total (the final grouped count). When the eval
+    pairs fail ``util.fits_broadcast`` it falls back to a
     distributed hash join (three shuffle stages), the path for
     eval-vs-eval style jobs where neither side is small."""
     import ray
     from ray.data.aggregate import Count
+
+    from pystreamfs_ray.util import (drop_empty_blocks, fits_broadcast,
+                                     shuffle_partitions)
 
     def split(member: bool):
         def fn(df: pd.DataFrame) -> pd.DataFrame:
@@ -115,8 +117,7 @@ def decontaminate(ds, *, n: int = 4, eval_rate: float = 0.10,
         ds.map_batches(split(True), batch_format="pandas"),
         n=n, id_col=id_col, text_col=text_col).materialize()
 
-    eval_count = eval_pairs.count()
-    if eval_count <= broadcast_threshold:
+    if fits_broadcast(eval_pairs):
         gh = np.unique(eval_pairs.select_columns(["gh"]).to_pandas()["gh"].to_numpy())
         ref = ray.put(gh)  # sorted by np.unique
 
@@ -130,11 +131,7 @@ def decontaminate(ds, *, n: int = 4, eval_rate: float = 0.10,
 
         hits = corpus_grams.map_batches(flag, batch_format="pyarrow")
     else:
-        if num_partitions is None:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-            num_partitions = min(64, max(4, cpus // 2))
-        from pystreamfs_ray.util import drop_empty_blocks
-
+        num_partitions = shuffle_partitions()
         eval_grams = drop_empty_blocks(
             (eval_pairs.groupby("gh")
              .aggregate(Count(alias_name="__c")).drop_columns(["__c"])),
@@ -145,9 +142,7 @@ def decontaminate(ds, *, n: int = 4, eval_rate: float = 0.10,
 
 
 def dup_ngram_stats(ds, *, n: int = 5, id_col: str = "doc_id",
-                    text_col: str = "text", min_docs: int = 2,
-                    num_partitions: int = 8,
-                    broadcast_threshold: int = 5_000_000):
+                    text_col: str = "text", min_docs: int = 2):
     """Per-document duplicated-shingle accounting — for every document,
     how many of its distinct word ``n``-grams also appear in at least
     ``min_docs - 1`` OTHER documents (the repeated-n-gram signal behind
@@ -157,8 +152,8 @@ def dup_ngram_stats(ds, *, n: int = 5, id_col: str = "doc_id",
     once (`ngram_hash_pairs` — a doc lives in one batch row, so
     per-batch dedup IS global dedup); gram document-frequencies come
     from ONE groupby over those pairs. Only the DUPLICATED gram hashes
-    are needed downstream — when that set fits (≤ ``broadcast_
-    threshold``), it broadcasts once and membership is a vectorized
+    are needed downstream — when that set passes
+    ``util.fits_broadcast``, it broadcasts once and membership is a vectorized
     ``searchsorted`` (no second shuffle); otherwise the frequency table
     hash-joins back onto the pairs. A final per-doc count aggregate
     emits (n_grams, n_dup). Text never shuffles; every exchanged row
@@ -166,19 +161,21 @@ def dup_ngram_stats(ds, *, n: int = 5, id_col: str = "doc_id",
     import ray
     from ray.data.aggregate import Count, Sum
 
+    from pystreamfs_ray.util import (drop_empty_blocks, fits_broadcast,
+                                     shuffle_partitions)
+
     # `pairs` is a diamond: it feeds BOTH the frequency groupby and the
     # membership mark below. Materialize it once (int64 pairs in the
     # object store, spillable) — re-deriving it means a second full
     # text scan + findall pass, the dominant cost (measured 12.8 s →
     # 3.5 s at sf0.01; same reason minhash_lsh_pairs materializes its
-    # signatures). Likewise `dup_ghs` is consumed twice (size probe +
-    # broadcast/join side).
+    # signatures). `dup_ghs` is materialized for the size gate.
     pairs = ngram_hash_pairs(ds, n=n, id_col=id_col,
                              text_col=text_col).materialize()
     freqs = pairs.groupby("gh").aggregate(Count(alias_name="nd"))
     dup_ghs = freqs.filter(expr=f"nd >= {min_docs}").materialize()
 
-    if dup_ghs.count() <= broadcast_threshold:
+    if fits_broadcast(dup_ghs):
         arr = np.sort(
             dup_ghs.select_columns(["gh"]).to_pandas()["gh"].to_numpy())
         ref = ray.put(arr)
@@ -196,8 +193,7 @@ def dup_ngram_stats(ds, *, n: int = 5, id_col: str = "doc_id",
 
         marked = pairs.map_batches(mark_bcast, batch_format="pyarrow")
     else:
-        from pystreamfs_ray.util import drop_empty_blocks
-
+        num_partitions = shuffle_partitions()
         joined = pairs.join(drop_empty_blocks(freqs, num_partitions),
                             join_type="inner",
                             num_partitions=num_partitions, on=("gh",))

@@ -9,8 +9,10 @@ Scale shapes (per the Ray Data dedup playbook):
 - MinHash-LSH: shingle→minhash per batch (numpy, no Python loop over
   permutations) → explode to (band_id, band_hash, doc_id) rows →
   groupby banding buckets → candidate pairs → verify with the
-  *signature-estimated* Jaccard via two hash joins back to the
-  signature table (no O(n²) text comparison, no driver materialization).
+  *signature-estimated* Jaccard against the signature table (no O(n²)
+  text comparison): broadcast when it passes ``util.fits_broadcast``,
+  the gate every small-side switch in this module uses, else two hash
+  joins (no driver materialization).
 - SimHash: 64-bit signature per doc, banded into 16-bit blocks for
   candidate generation, Hamming-verified.
 - embedding near-dup: random-hyperplane LSH buckets → exact cosine
@@ -141,8 +143,7 @@ def fingerprint_index(ds, *, text_col: str = "text", num_buckets: int = 64):
 
 
 def incremental_exact_dedup(new_ds, index_ds, *, id_col: str = "doc_id",
-                            text_col: str = "text", num_buckets: int = 64,
-                            num_partitions: int | None = None):
+                            text_col: str = "text", num_buckets: int = 64):
     """Incremental-ingestion dedup: dedup the arrival batch exactly
     (keep min id per text), then drop every arrival whose fingerprint
     is already in the persisted index — an exact distributed LEFT ANTI
@@ -152,8 +153,6 @@ def incremental_exact_dedup(new_ds, index_ds, *, id_col: str = "doc_id",
     text through it. Output matches ``exact_dedup``:
     ``(id, n_dupes, text)`` for rows NEW to the corpus; ``n_dupes``
     counts copies within the arrival batch."""
-    import ray
-
     deduped = exact_dedup(new_ds, id_col=id_col, text_col=text_col,
                           num_buckets=num_buckets)
 
@@ -162,11 +161,9 @@ def incremental_exact_dedup(new_ds, index_ds, *, id_col: str = "doc_id",
         df["fp"] = _md5_hex(df[text_col].to_numpy())
         return df
 
-    from pystreamfs_ray.util import drop_empty_blocks
+    from pystreamfs_ray.util import drop_empty_blocks, shuffle_partitions
 
-    if num_partitions is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        num_partitions = min(64, max(4, cpus // 2))
+    num_partitions = shuffle_partitions()
     # both sides are groupby/map_groups outputs — schema-less empty
     # blocks break the hash join (see util.drop_empty_blocks). The
     # deduped arrival batch is materialized anyway (it feeds exactly
@@ -365,8 +362,7 @@ def _explode_bands(df: pd.DataFrame, id_col: str, num_perm: int,
 
 
 def minhash_lsh_pairs(ds, *, id_col="doc_id", text_col="text", num_perm=128,
-                      bands=32, shingle_k=3, threshold=0.5,
-                      broadcast_threshold=200_000, num_partitions=None):
+                      bands=32, shingle_k=3, threshold=0.5):
     """Candidate pairs via LSH banding, Jaccard estimated from the full
     signatures (no text shuffle). Returns (id_a, id_b, jaccard_est)
     with id_a < id_b, est >= threshold.
@@ -376,10 +372,11 @@ def minhash_lsh_pairs(ds, *, id_col="doc_id", text_col="text", num_perm=128,
     verification then filters, so the output equals "pairs sharing >=1
     exact band" (the form the DuckDB oracle computes) w.h.p.
 
-    Verification side: below ``broadcast_threshold`` docs the signature
-    table is broadcast once (`ray.put`) and looked up per batch — the
-    small-side pattern; above it, two partitioned hash joins carry the
-    signatures to the pairs (the 10^9-doc scale path)."""
+    Verification side: when the signature table passes
+    ``util.fits_broadcast`` it is broadcast once (`ray.put`) and looked
+    up per batch — the small-side pattern; otherwise two partitioned
+    hash joins carry the signatures to the pairs (the 10^9-doc scale
+    path)."""
     assert num_perm % bands == 0
     rows_per_band = num_perm // bands
 
@@ -430,7 +427,8 @@ def minhash_lsh_pairs(ds, *, id_col="doc_id", text_col="text", num_perm=128,
         return pd.DataFrame({"id_a": np.concatenate(out_a),
                              "id_b": np.concatenate(out_b)})
 
-    from pystreamfs_ray.util import arrow_combiner
+    from pystreamfs_ray.util import (arrow_combiner, fits_broadcast,
+                                     shuffle_partitions)
 
     cand = (
         sigs.map_batches(arrow_combiner(explode_bands), batch_format="pyarrow")
@@ -439,8 +437,7 @@ def minhash_lsh_pairs(ds, *, id_col="doc_id", text_col="text", num_perm=128,
         .map_groups(bucket_pairs, batch_format="pandas")
     )
 
-    n_docs = sigs.count()
-    if n_docs <= broadcast_threshold:
+    if fits_broadcast(sigs):
         # small corpus: ONE more shuffle keyed on the pair hash does
         # distinct (a pair fires in many bands) AND the broadcast-dict
         # verification together, all vectorized per bucket
@@ -482,9 +479,7 @@ def minhash_lsh_pairs(ds, *, id_col="doc_id", text_col="text", num_perm=128,
 
     # scale path: distinct via a C-backed hash aggregate (no per-group
     # Python), then signature-estimated Jaccard via two hash joins (no
-    # driver pull). num_partitions tracks the session's CPU count — a
-    # join aggregator pool larger than the CPUs of a small session
-    # stalls the pipeline, a tiny one bottlenecks a big cluster.
+    # driver pull).
     from ray.data.aggregate import Count as _Count
 
     cand = (
@@ -492,11 +487,7 @@ def minhash_lsh_pairs(ds, *, id_col="doc_id", text_col="text", num_perm=128,
         .aggregate(_Count(alias_name="__nb"))
         .drop_columns(["__nb"])
     )
-    if num_partitions is None:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        num_partitions = min(64, max(4, cpus // 2))
+    num_partitions = shuffle_partitions()
     sig_a = sigs.map_batches(
         lambda t: t.rename_columns(["id_a", "sig_a"]), batch_format="pyarrow"
     )
@@ -746,8 +737,7 @@ def simhash_pairs(ds, *, id_col="doc_id", text_col="text", max_hamming=3):
 
 
 def connected_components(pairs_ds, *, id_a="id_a", id_b="id_b",
-                         max_rounds: int = 12, num_partitions: int | None = None,
-                         driver_threshold: int = 2_000_000):
+                         max_rounds: int = 12):
     """Duplicate groups from near-dup pairs: distributed min-label
     propagation with POINTER DOUBLING — each round every node adopts
     the smallest of (its label, its neighbors' labels, its label's
@@ -765,13 +755,13 @@ def connected_components(pairs_ds, *, id_a="id_a", id_b="id_b",
 
     Returns (node, component) where component = min node id reachable.
 
-    Size gate (same discipline as the broadcast↔join switches): at or
-    below ``driver_threshold`` DIRECTED edges the identical min-label +
+    Size gate (``util.fits_broadcast``, the one broadcast↔join switch):
+    when the DIRECTED edge table passes it, the identical min-label +
     pointer-doubling recurrence runs vectorized on the driver — each
-    numpy pass is O(E), so 2M edges converge in milliseconds, versus
-    ~1 s of fixed shuffle/barrier overhead PER ROUND for the
+    numpy pass is O(E), so millions of edges converge in milliseconds,
+    versus ~1 s of fixed shuffle/barrier overhead PER ROUND for the
     distributed loop. The pair graph is LSH candidates (pair-sized,
-    never corpus-sized); above the threshold the all-Dataset path keeps
+    never corpus-sized); above the gate the all-Dataset path keeps
     components of any size off the driver.
     """
     import pandas as pd
@@ -782,17 +772,15 @@ def connected_components(pairs_ds, *, id_a="id_a", id_b="id_b",
         rev = pd.DataFrame({"src": df[id_b], "dst": df[id_a]})
         return pd.concat([fwd, rev], ignore_index=True)
 
-    if num_partitions is None:
-        import ray
+    from pystreamfs_ray.util import fits_broadcast, shuffle_partitions
 
-        num_partitions = max(4, int(ray.cluster_resources().get("CPU", 8)) // 2)
-
+    num_partitions = shuffle_partitions()
     # block-count discipline: every per-round sort's output partition
     # count tracks its input block count, so WITHOUT a repartition the
     # label dataset's blocks compound each round (16 → 48 → 112 → ...)
     # and the sort's O(blocks²) shuffle-object cost quadruples per
     # round. Pinning to a fixed num_partitions keeps every round the
-    # same price; at cluster scale, pass a larger num_partitions.
+    # same price.
     edges = (
         pairs_ds.map_batches(to_edges, batch_format="pandas")
         .repartition(num_partitions)
@@ -813,7 +801,7 @@ def connected_components(pairs_ds, *, id_a="id_a", id_b="id_b",
         pa.int64())
     label_schema = pa.schema([("node", node_type), ("component", node_type)])
 
-    if edges.count() <= driver_threshold:
+    if fits_broadcast(edges):
         # driver fast path: same recurrence, numpy-vectorized.
         # np.unique sorts, so index order == value order and min-index
         # labels equal the distributed min-value labels for ints AND
@@ -996,8 +984,7 @@ def dedup_groups(pairs_ds, **kw):
 
 
 def neardup_canonical(pairs_ds, attrs_ds, *, id_col: str = "doc_id",
-                      score_col: str = "n_chars",
-                      num_partitions: int | None = None):
+                      score_col: str = "n_chars"):
     """Canonical-copy selection over the near-dup graph: connected
     components of the candidate-pair graph, then ONE keeper per
     component — the member with the largest ``score_col`` (tie-break
@@ -1016,7 +1003,8 @@ def neardup_canonical(pairs_ds, attrs_ds, *, id_col: str = "doc_id",
     import ray.data as rd
 
     from pystreamfs_ray.util import (arrow_block, arrow_combiner,
-                                     drop_empty_blocks)
+                                     drop_empty_blocks, fits_broadcast,
+                                     shuffle_partitions)
 
     comps = connected_components(pairs_ds)  # (node, component), materialized
     if comps.count() == 0:  # no pairs → no duplicate groups
@@ -1027,18 +1015,13 @@ def neardup_canonical(pairs_ds, attrs_ds, *, id_col: str = "doc_id",
     attrs = attrs_ds.select_columns([id_col, score_col]).map_batches(
         lambda t: t.rename_columns(["node", "__score"]),
         batch_format="pyarrow")
-    if num_partitions is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        num_partitions = min(64, max(4, cpus // 2))
-    # size gate (same discipline as the broadcast↔join switches in the
-    # TF-IDF/decontam paths): the component map is pair-graph-sized —
-    # at or below the broadcast threshold ship it once via ray.put and
+    # size gate (util.fits_broadcast): the component map is
+    # pair-graph-sized — when it fits, ship it once via ray.put and
     # reduce to per-batch argmax partials over ONE attrs scan (no
     # join, no shuffle of attrs; measured ~4.5 s → ~1 s at sf0.1 where
     # the map is 477 rows). Above it, the hash-join path keeps any
     # component count off the driver.
-    broadcast_threshold = 2_000_000
-    if comps.count() <= broadcast_threshold:
+    if fits_broadcast(comps):
         comp_df = comps.to_pandas()
         ref = ray.put((comp_df["node"].to_numpy(np.int64),
                        comp_df["component"].to_numpy(np.int64)))
@@ -1062,6 +1045,7 @@ def neardup_canonical(pairs_ds, attrs_ds, *, id_col: str = "doc_id",
     else:
         # comps is a groupby output — schema-less empty blocks break
         # the join
+        num_partitions = shuffle_partitions()
         joined = drop_empty_blocks(comps, num_partitions).join(
             attrs, join_type="inner",
             num_partitions=num_partitions, on=("node",))
@@ -1333,8 +1317,7 @@ def windowed_exact_dedup(ds, *, id_col: str = "event_id",
 
 
 def snapshot_diff(a_ds, b_ds, *, id_col: str = "doc_id",
-                  text_col: str = "text", group_col: str = "source",
-                  num_partitions: int | None = None):
+                  text_col: str = "text", group_col: str = "source"):
     """Corpus snapshot diff — the audit between two training-corpus
     versions: per ``group_col``, how many docs were ADDED (id only in
     B), REMOVED (id only in A), CHANGED (same id, different md5
@@ -1349,14 +1332,12 @@ def snapshot_diff(a_ds, b_ds, *, id_col: str = "doc_id",
     two sentinels pair up and are dropped after classification; no
     materialize/count probe, both sides stay lazy — see SCALE.md on
     the probe-serialization trap)."""
-    import ray
     import ray.data as rd
 
-    from pystreamfs_ray.util import arrow_combiner, drop_empty_blocks
+    from pystreamfs_ray.util import (arrow_combiner, drop_empty_blocks,
+                                     shuffle_partitions)
 
-    if num_partitions is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        num_partitions = min(64, max(4, cpus // 2))
+    num_partitions = shuffle_partitions()
 
     def side(tag: str):
         k, g, f, s = f"k_{tag}", f"grp_{tag}", f"fp_{tag}", f"sent_{tag}"
@@ -1505,8 +1486,7 @@ def prefix_dedup(ds, *, text_col: str = "text", num_partitions: int = 32,
 
 def incremental_minhash_pairs(new_ds, index_sigs, *, id_col="doc_id",
                               text_col="text", num_perm=128, bands=32,
-                              shingle_k=3, threshold=0.5,
-                              num_partitions=None, pair_buckets=64,
+                              shingle_k=3, threshold=0.5, pair_buckets=64,
                               new_presigned=False):
     """Incremental near-dup ingestion: match an ARRIVAL batch against a
     PERSISTED corpus signature index (``minhash_signatures`` output,
@@ -1533,7 +1513,8 @@ def incremental_minhash_pairs(new_ds, index_sigs, *, id_col="doc_id",
     import ray
     import ray.data as rd
 
-    from pystreamfs_ray.util import arrow_combiner, drop_empty_blocks
+    from pystreamfs_ray.util import (arrow_combiner, drop_empty_blocks,
+                                     shuffle_partitions)
 
     assert num_perm % bands == 0
 
@@ -1623,10 +1604,7 @@ def incremental_minhash_pairs(new_ds, index_sigs, *, id_col="doc_id",
     cand = (cand.groupby([id_col, "dup_of"])
             .aggregate(_Count(alias_name="__nb")).drop_columns(["__nb"]))
 
-    if num_partitions is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        num_partitions = min(64, max(4, cpus // 2))
-
+    num_partitions = shuffle_partitions()
     sig_idx = index_sigs.map_batches(
         lambda t: t.rename_columns(["dup_of", "sig_idx"]),
         batch_format="pyarrow")
@@ -1937,7 +1915,6 @@ def sorted_neighborhood_pairs(ds, *, id_col: str = "doc_id",
 
 def substr_dup_coverage(ds, *, id_col: str = "doc_id",
                         text_col: str = "text", gram_len: int = 30,
-                        broadcast_threshold: int = 5_000_000,
                         hash_kind: str = "md5"):
     """Exact-substring duplicate coverage — the character-level
     "ExactSubstr" signal from the training-data-dedup literature
@@ -1955,15 +1932,15 @@ def substr_dup_coverage(ds, *, id_col: str = "doc_id",
     union identity ``covered = Σ min(gap, L) + L`` — exact integers,
     one vectorized diff per doc batch, no per-row loop.
 
-    Scale notes: the repeated-gram set is size-gated — below
-    ``broadcast_threshold`` distinct repeated grams it broadcasts via
-    ``ray.put`` into the doc-local scoring pass (zero extra
-    shuffles); above it the honest fallback is a (id, pos, hash)
-    distributed join, which ships ~20 B per corpus character — at
-    that scale switch to a stride-sampled or rolling-hash-bucketed
-    screen first (documented trade; the md5 gram hash here exists for
-    DuckDB-oracle parity, production would swap in a rolling
-    polynomial hash with the same shape). Output: one row per doc
+    Scale notes: the repeated-gram set is size-gated — when it passes
+    ``util.fits_broadcast`` it broadcasts via ``ray.put`` into the
+    doc-local scoring pass (zero extra shuffles); above it the honest
+    fallback is a (id, pos, hash) distributed join, which ships ~20 B
+    per corpus character — at that scale switch to a stride-sampled
+    or rolling-hash-bucketed screen first (documented trade; the md5
+    gram hash here exists for DuckDB-oracle parity, production would
+    swap in a rolling polynomial hash with the same shape). Output:
+    one row per doc
     (id, n_chars, n_rep_grams, covered_chars, dup_ppm).
 
     ``hash_kind="rolling"`` IS that production path: a vectorized
@@ -1975,7 +1952,7 @@ def substr_dup_coverage(ds, *, id_col: str = "doc_id",
     import ray
     from ray.data.aggregate import Sum
 
-    from pystreamfs_ray.util import arrow_combiner
+    from pystreamfs_ray.util import arrow_combiner, fits_broadcast
 
     L = gram_len
 
@@ -2025,11 +2002,13 @@ def substr_dup_coverage(ds, *, id_col: str = "doc_id",
     counts = (ds.map_batches(arrow_combiner(count_partial),
                              batch_format="pyarrow")
               .groupby("h").aggregate(Sum("n", alias_name="n")))
-    rep = counts.filter(expr="n >= 2")
+    # materialized: the gate, the row count and the gather below all
+    # read it, and each would otherwise re-run the whole gram aggregate
+    rep = counts.filter(expr="n >= 2").materialize()
     n_rep = rep.count()
-    if n_rep > broadcast_threshold:
+    if not fits_broadcast(rep):
         raise NotImplementedError(
-            f"{n_rep} distinct repeated {L}-grams exceeds the broadcast "
+            f"{n_rep} distinct repeated {L}-grams exceed the broadcast "
             "gate; at this scale run a stride-sampled screen or the "
             "rolling-hash bucketed variant first (see docstring)")
     rep_arr = (rep.to_pandas()["h"].to_numpy(np.int64)

@@ -19,6 +19,9 @@ a prior global sort.
 
 Output: one row per (kernel, conv_id, window_id) with ``acc``.
 
+The per-entity replication cap is broadcast when it passes
+``util.fits_broadcast`` (the one broadcast gate), else hash-joined.
+
 A standalone operator (driver query ``q_eval_salted``): the flagship
 pipeline evaluates inline in the selector fold, because routing the
 mega-conversations' eval through this stage lost end to end on every
@@ -34,7 +37,8 @@ import pyarrow.compute as pc
 
 from pystreamfs_ray.models import MODELS
 from pystreamfs_ray.schema import FEATURE_COLS, LABEL_COL
-from pystreamfs_ray.util import bucket_array
+from pystreamfs_ray.util import (bucket_array, drop_empty_blocks,
+                                 fits_broadcast, shuffle_partitions)
 
 
 def evaluate_windows(
@@ -51,7 +55,6 @@ def evaluate_windows(
     label_col: str = LABEL_COL,
     chunk_windows: int = 200,
     num_buckets: int = 64,
-    broadcast_threshold: int = 2_000_000,
 ):
     """specs_ds: (kernel, conv_id, window_id, selected) — selector output."""
     feature_cols = list(feature_cols or FEATURE_COLS)
@@ -115,7 +118,7 @@ def evaluate_windows(
 
     # Replication cap: a row never needs chunks beyond its entity's last
     # window. The per-entity max window comes from the (small) specs side
-    # — broadcast once below the threshold; above it (10^9 entities
+    # — broadcast once when it fits; above the gate (10^9 entities
     # would be a driver-side materialization) fall back to a distributed
     # hash join of the cap onto the feature rows. Without the cap every
     # SHORT conversation would be replicated 1 + hist/chunk times and
@@ -128,7 +131,7 @@ def evaluate_windows(
         .aggregate(Max("window_id", alias_name="__maxw"))
         .materialize()
     )
-    if maxw_ds.count() <= broadcast_threshold:
+    if fits_broadcast(maxw_ds):
         maxw_pdf = maxw_ds.to_pandas()
         maxw_ref = ray.put(
             dict(zip(maxw_pdf[entity_col], maxw_pdf["__maxw"].astype(np.int64)))
@@ -143,9 +146,7 @@ def evaluate_windows(
 
         lt = features_ds.map_batches(explode_features_capped, batch_format="pyarrow")
     else:
-        from pystreamfs_ray.util import drop_empty_blocks
-
-        num_partitions = max(8, int(ray.cluster_resources().get("CPU", 8)))
+        num_partitions = shuffle_partitions()
         capped = features_ds.join(
             drop_empty_blocks(maxw_ds, num_partitions),
             join_type="inner", num_partitions=num_partitions,

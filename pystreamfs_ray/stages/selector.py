@@ -73,7 +73,6 @@ class BucketSelector:
         streaming: bool = False,
         flush: bool = True,
         load_state: bool = False,
-        mem_probe_every: int = 1,
     ):
         # resolve kernels once, when the stage is built, not per bucket.
         # A list runs several kernels per entity in ONE pass — the shuffle
@@ -104,12 +103,6 @@ class BucketSelector:
         self.streaming = streaming
         self.flush = flush
         self.load_state = load_state
-        # memory-probe cadence: 1 = one /proc read per window (reference
-        # parity, pystreamfs.py:74); k>1 probes every k-th window per
-        # fold and repeats the last sample in between — RSS varies far
-        # slower than a 0.4 ms window, and the ~10 µs probe is ~2.5% of
-        # selector wall at cadence 1 (the round-3 drift suspect)
-        self.mem_probe_every = max(1, int(mem_probe_every))
         if streaming and evaluate and max_history is None:
             raise ValueError(
                 "streaming continuation with evaluation needs a bounded "
@@ -268,7 +261,6 @@ class BucketSelector:
                     state = kernel.init_state(X.shape[1], self.kernel_params)
                     prev_sel = None
                 model = MODELS[self.evaluate]() if self.evaluate else None
-                mem = None
                 for wid, i in enumerate(range(0, stop, bs)):
                     gwid = wid0 + wid
                     t0 = time.perf_counter()
@@ -279,8 +271,7 @@ class BucketSelector:
                     )
                     selected = top_m_features(w, self.num_features)
                     wall_ms = (time.perf_counter() - t0) * 1000.0
-                    if mem is None or wid % self.mem_probe_every == 0:
-                        mem = rss_bytes()  # cadence 1 = reference parity
+                    mem = rss_bytes()  # one probe per window, as the reference
 
                     acc = None
                     if model is not None:
@@ -392,14 +383,12 @@ def run_selector(
     streaming: bool = False,
     flush: bool = True,
     load_state: bool = False,
-    mem_probe_every: int = 1,
 ):
     """features Dataset → selector-output Dataset (one shuffle)."""
     selector = BucketSelector(
         streaming=streaming,
         flush=flush,
         load_state=load_state,
-        mem_probe_every=mem_probe_every,
         kernel=kernel,
         batch_size=batch_size,
         num_features=num_features,

@@ -4,7 +4,10 @@ token counting, quality scoring, language ID, document fingerprinting.
 All hot paths are vectorized (pyarrow.compute / pandas str kernels).
 Scorer classes do their setup (compile patterns, build stopword or
 weight tables) once in ``__init__``, when the stage is built; the
-instance ships with the stage and runs as stateless tasks.
+instance ships with the stage and runs as stateless tasks. The
+operators that need a vocabulary-sized count table (TF-IDF, PMI, the
+unigram and bigram LMs) broadcast it when it passes
+``util.fits_broadcast`` and hash-join it otherwise.
 """
 
 from __future__ import annotations
@@ -349,8 +352,6 @@ def repetition_stats(ds, *, id_col: str = "doc_id", text_col: str = "text"):
 
 
 def tfidf_top_term(ds, *, id_col: str = "doc_id", text_col: str = "text",
-                   broadcast_threshold: int = 2_000_000,
-                   num_partitions: int | None = None,
                    doc_buckets: int = 64):
     """Per-document top TF-IDF term (smooth idf = ln((N+1)/(df+1)) + 1,
     raw-count tf; deterministic (score desc, term asc) tie-break).
@@ -358,9 +359,9 @@ def tfidf_top_term(ds, *, id_col: str = "doc_id", text_col: str = "text",
     Scale shape: document frequencies are pre-aggregated inside each
     batch (distinct (doc, term) → per-term partial counts — the
     combiner pattern), so the first shuffle is a vocabulary-sized
-    groupby-sum. Below ``broadcast_threshold`` distinct terms the df
-    table is broadcast once (``ray.put``) and the scoring pass is
-    doc-local. ABOVE it (web-corpus vocab, 10⁸+ terms — a driver OOM
+    groupby-sum. When the df table passes ``util.fits_broadcast`` it is
+    broadcast once (``ray.put``) and the scoring pass is doc-local.
+    Otherwise (web-corpus vocab, 10⁸+ terms — a driver OOM
     if pulled), the df table never leaves the cluster: per-doc term
     counts hash-join the df Dataset on the term, and the per-doc top-1
     reduces through fixed hash buckets (vectorized across the many
@@ -380,14 +381,15 @@ def tfidf_top_term(ds, *, id_col: str = "doc_id", text_col: str = "text",
         vc = pairs["w"].value_counts()
         return pd.DataFrame({"w": vc.index.to_numpy(), "pdf": vc.to_numpy()})
 
-    from pystreamfs_ray.util import arrow_combiner, bucket_array
+    from pystreamfs_ray.util import (arrow_combiner, bucket_array,
+                                     fits_broadcast, shuffle_partitions)
 
     df_tbl_ds = (ds.map_batches(arrow_combiner(df_partials),
                                 batch_format="pyarrow")
                  .groupby("w").aggregate(Sum("pdf", alias_name="df"))
                  .materialize())
 
-    if df_tbl_ds.count() <= broadcast_threshold:
+    if fits_broadcast(df_tbl_ds):
         df_tbl = df_tbl_ds.to_pandas()
         order = np.argsort(df_tbl["w"].to_numpy())
         vocab = df_tbl["w"].to_numpy()[order]
@@ -420,9 +422,7 @@ def tfidf_top_term(ds, *, id_col: str = "doc_id", text_col: str = "text",
         return ds.map_batches(score, batch_format="pandas")
 
     # ---- join path: the vocab stays distributed -----------------------
-    if num_partitions is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        num_partitions = min(64, max(4, cpus // 2))
+    num_partitions = shuffle_partitions()
 
     def tf_rows(df: pd.DataFrame) -> pd.DataFrame:
         words = df[text_col].str.findall(r"\S+")
@@ -473,8 +473,7 @@ def tfidf_top_term(ds, *, id_col: str = "doc_id", text_col: str = "text",
 
 
 def pmi_bigrams(ds, *, text_col: str = "text", min_count: int = 5,
-                ndigits: int = 6, broadcast_threshold: int = 2_000_000,
-                num_partitions: int | None = None):
+                ndigits: int = 6):
     """Pointwise mutual information of adjacent word pairs — the
     collocation detector ("New York" vs chance co-occurrence) used for
     phrase mining and tokenizer-merge candidates. ``pmi = ln(p(x,y) /
@@ -483,9 +482,9 @@ def pmi_bigrams(ds, *, text_col: str = "text", min_count: int = 5,
 
     Scale shape: two combiner aggregations (per-batch bigram and
     unigram ``value_counts`` → groupby-sum), so the shuffles are
-    vocab²- and vocab-sized, never corpus-sized. Below
-    ``broadcast_threshold`` distinct unigrams the unigram table and the
-    two scalar totals broadcast into the vectorized finish; above it
+    vocab²- and vocab-sized, never corpus-sized. When the unigram table
+    passes ``util.fits_broadcast`` it and the two scalar totals
+    broadcast into the vectorized finish; otherwise
     (web vocab, ~10⁸ terms — a driver OOM if pulled) the
     ``min_count``-filtered bigram table hash-joins the unigram Dataset
     on w1 then w2 — same results, two more shuffles, nothing
@@ -525,7 +524,8 @@ def pmi_bigrams(ds, *, text_col: str = "text", min_count: int = 5,
         return arrow_block(pd.DataFrame({"w": vc.index,
                                          "cu": vc.to_numpy(np.int64)}))
 
-    from pystreamfs_ray.util import arrow_combiner
+    from pystreamfs_ray.util import (arrow_combiner, fits_broadcast,
+                                     shuffle_partitions)
 
     uni_ds = (toks.map_batches(arrow_combiner(unigram_partial),
                                batch_format="pyarrow")
@@ -549,7 +549,7 @@ def pmi_bigrams(ds, *, text_col: str = "text", min_count: int = 5,
                              "c": c.astype(np.int64),
                              "pmi": np.round(pmi, ndigits)})
 
-    if uni_ds.count() <= broadcast_threshold:
+    if fits_broadcast(uni_ds):
         from pystreamfs_ray.util import ensure_cols
 
         uni = ensure_cols(uni_ds.to_pandas(), {"w": object, "cu": np.int64})
@@ -571,9 +571,7 @@ def pmi_bigrams(ds, *, text_col: str = "text", min_count: int = 5,
         return big.map_batches(finish, batch_format="pandas")
 
     # ---- join path: unigram counts stay distributed --------------------
-    if num_partitions is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        num_partitions = min(64, max(4, cpus // 2))
+    num_partitions = shuffle_partitions()
     from pystreamfs_ray.util import drop_empty_blocks
 
     # prune BEFORE the joins: only bigrams that can appear in the output
@@ -713,8 +711,7 @@ def normalize_text(ds, *, id_col: str = "doc_id", text_col: str = "text",
 
 
 def unigram_logprob(ds, *, id_col: str = "doc_id", text_col: str = "text",
-                    ndigits: int = 6, broadcast_threshold: int = 2_000_000,
-                    num_partitions: int | None = None):
+                    ndigits: int = 6):
     """Per-document mean token negative log-probability under the
     corpus's own unigram LM — the CCNet-style quality proxy
     (Wenzek et al. 2020 rank documents by LM perplexity; the unigram
@@ -723,15 +720,15 @@ def unigram_logprob(ds, *, id_col: str = "doc_id", text_col: str = "text",
     are filter candidates. Docs with no tokens are omitted.
 
     Scale shape: one vocab-sized combiner aggregate for the counts;
-    below ``broadcast_threshold`` distinct terms the count table
-    broadcasts and scoring is doc-local (zero further shuffles); above
-    it the (doc, term, tf) rows hash-join the count Dataset and reduce
+    when the count table passes ``util.fits_broadcast`` it broadcasts
+    and scoring is doc-local (zero further shuffles); otherwise the (doc, term, tf) rows hash-join the count Dataset and reduce
     per doc with a C-backed grouped sum — nothing vocab-sized on the
     driver (same switch as ``tfidf_top_term``)."""
     import ray
     from ray.data.aggregate import Sum
 
-    from pystreamfs_ray.util import arrow_combiner
+    from pystreamfs_ray.util import (arrow_combiner, fits_broadcast,
+                                     shuffle_partitions)
 
     def count_partial(df: pd.DataFrame) -> pd.DataFrame:
         s = df[text_col].str.findall(r"\S+")
@@ -756,7 +753,7 @@ def unigram_logprob(ds, *, id_col: str = "doc_id", text_col: str = "text",
                                      "nll": np.zeros(len(df))}).iloc[0:0],
             batch_format="pandas")
 
-    if counts_ds.count() <= broadcast_threshold:
+    if fits_broadcast(counts_ds):
         cdf = counts_ds.to_pandas()
         order = np.argsort(cdf["w"].to_numpy())
         ref = ray.put((cdf["w"].to_numpy()[order],
@@ -786,9 +783,7 @@ def unigram_logprob(ds, *, id_col: str = "doc_id", text_col: str = "text",
         return ds.map_batches(score, batch_format="pandas")
 
     # join path: counts stay distributed
-    if num_partitions is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        num_partitions = min(64, max(4, cpus // 2))
+    num_partitions = shuffle_partitions()
 
     def tf_rows(df: pd.DataFrame) -> pd.DataFrame:
         s = df[text_col].str.findall(r"\S+")
@@ -843,8 +838,7 @@ def unigram_logprob(ds, *, id_col: str = "doc_id", text_col: str = "text",
 
 
 def bigram_logprob(ds, *, id_col: str = "doc_id", text_col: str = "text",
-                   ndigits: int = 6, broadcast_threshold: int = 2_000_000,
-                   num_partitions: int | None = None):
+                   ndigits: int = 6):
     """Per-document mean conditional bigram negative log-probability
     under the corpus's own bigram LM:
     ``nll(d) = -(1/(|d|-1)) Σ_i ln(c(w_i, w_{i+1}) / c(w_i))`` — the
@@ -856,15 +850,16 @@ def bigram_logprob(ds, *, id_col: str = "doc_id", text_col: str = "text",
 
     Scale shape: one unigram- and one bigram-sized combiner aggregate
     (shuffles are vocab- and bigram-vocab-sized, never corpus-sized).
-    Below ``broadcast_threshold`` distinct bigrams both count tables
-    broadcast and scoring is doc-local; above it (web corpus — a
-    driver OOM if pulled) the per-doc (bigram, tf) rows hash-join the
+    When the combined count table passes ``util.fits_broadcast`` both
+    tables broadcast and scoring is doc-local; otherwise (web corpus —
+    a driver OOM if pulled) the per-doc (bigram, tf) rows hash-join the
     two count Datasets and reduce per doc, same switch as
     ``unigram_logprob``/``tfidf_top_term``."""
     import ray
     from ray.data.aggregate import Sum
 
-    from pystreamfs_ray.util import arrow_combiner
+    from pystreamfs_ray.util import (arrow_combiner, fits_broadcast,
+                                     shuffle_partitions)
 
     SEP = "\x1f"
     toks = ds.select_columns([id_col, text_col])
@@ -920,9 +915,8 @@ def bigram_logprob(ds, *, id_col: str = "doc_id", text_col: str = "text",
                          Sum("cb", alias_name="cb"))
               .materialize())
 
-    # gate on the combined (unigram + bigram) vocab size — conservative
-    # vs the old bigram-only gate, same order of magnitude
-    if counts.count() <= broadcast_threshold:
+    # gate on the combined (unigram + bigram) count table
+    if fits_broadcast(counts):
         from pystreamfs_ray.util import ensure_cols
 
         cdf = ensure_cols(counts.to_pandas(),
@@ -969,9 +963,7 @@ def bigram_logprob(ds, *, id_col: str = "doc_id", text_col: str = "text",
         return toks.map_batches(score, batch_format="pandas")
 
     # join path: both count tables stay distributed
-    if num_partitions is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        num_partitions = min(64, max(4, cpus // 2))
+    num_partitions = shuffle_partitions()
 
     def tf_rows(df: pd.DataFrame) -> pd.DataFrame:
         s = df[text_col].str.findall(r"\S+")

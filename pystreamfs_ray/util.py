@@ -1,4 +1,5 @@
-"""Small shared helpers (hashing, bucketing, fingerprints)."""
+"""Small shared helpers (hashing, bucketing, fingerprints, and the one
+broadcast-or-shuffle gate every stage that gathers a small side uses)."""
 
 from __future__ import annotations
 
@@ -265,6 +266,36 @@ def drop_empty_blocks(ds, num_blocks: int):
     that feeds a join; pick ``num_blocks`` ≈ the join partition
     count."""
     return ds.repartition(num_blocks)
+
+
+# Largest small side (in-memory bytes, from block metadata) that a stage
+# gathers into the calling process and broadcasts (``ray.put``) instead
+# of keeping it distributed (a hash join or shuffle). It bounds the
+# gather, the Python structures built from it, and the copy each node
+# keeps in its object store. 32 MiB is the largest power of two at
+# which every site that broadcasts a Python dict keeps the gathering
+# process under 2 GiB of RSS (``pmi_bigrams`` peaks at ~1.1 GiB here
+# and ~2.1 GiB at 64 MiB). Tests patch it to force either side.
+BROADCAST_MAX_BYTES = 32 * 1024 * 1024
+
+
+def fits_broadcast(ds) -> bool:
+    """The one broadcast-or-shuffle gate: True when the MATERIALIZED
+    ``ds`` holds no rows or at most ``BROADCAST_MAX_BYTES`` in memory.
+    Reads block metadata only — no ``count()``/``schema()`` execution."""
+    metas = [meta for bundle in ds.iter_internal_ref_bundles()
+             for _, meta in bundle.blocks]
+    return (sum(m.size_bytes or 0 for m in metas) <= BROADCAST_MAX_BYTES
+            or not any(m.num_rows for m in metas))
+
+
+def shuffle_partitions() -> int:
+    """Partition count for the distributed side of every broadcast gate:
+    half the session's CPUs, clamped to [4, 64] (a join pool larger than
+    a small session's CPUs stalls it; a tiny one bottlenecks a cluster)."""
+    import ray
+
+    return min(64, max(4, int(ray.cluster_resources().get("CPU", 8)) // 2))
 
 
 def stats_table(ds) -> "pd.DataFrame":

@@ -22,7 +22,8 @@ rows sorted by all columns; values must be identical to the last bit
 ROUND 6 of bit-identical doubles). ``hash_match`` is equality of a
 sha256 over the normalized column bytes. Queries with no oracle entry
 (the declared non-SQL set) get err="no_oracle" and only a rows>0 check,
-recorded as ``nonempty``.
+recorded as ``nonempty``. Each row times the engine query (``sec``,
+through ``to_pandas``) and the DuckDB oracle (``oracle_sec``) apart.
 """
 
 from __future__ import annotations
@@ -167,10 +168,14 @@ def main() -> int:
     t0 = time.time()
     for i, name in enumerate(names):
         tq = time.time()
+        sec = oracle_sec = None
         try:
             mine = _to_pandas(qs[name](args.sf_dir))
+            sec = time.time() - tq
             if name in oracles:
+                to = time.time()
                 want = con.execute(oracles[name]).df()
+                oracle_sec = round(time.time() - to, 3)
                 rec = compare(mine, want)
                 if not (rec["rows_match"] and rec["schema_match"]
                         and rec["hash_match"]):
@@ -192,7 +197,9 @@ def main() -> int:
                 "oracle_rows": None,
                 "err": traceback.format_exc(limit=3).strip()[-400:],
             }
-        rec["sec"] = round(time.time() - tq, 3)
+        # a failed engine query is timed up to its exception
+        rec["sec"] = round(time.time() - tq if sec is None else sec, 3)
+        rec["oracle_sec"] = oracle_sec
         out[name] = rec
         if rec["hash_match"]:
             n_green += 1
@@ -204,7 +211,8 @@ def main() -> int:
             n_fail += 1
             tag = "FAIL"
         print(f"[{i+1:3d}/{len(names)}] {name:28s} {tag:9s} "
-              f"{rec['sec']:7.2f}s", flush=True)
+              f"{rec['sec']:7.2f}s  oracle {oracle_sec or 0:7.2f}s",
+              flush=True)
 
     summary = {
         "sf_dir": args.sf_dir,

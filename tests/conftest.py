@@ -45,15 +45,19 @@ def synth_dirs(tmp_path_factory):
 
 
 @pytest.fixture
-def asof_paths(monkeypatch):
-    """Run a block under both as-of join paths: ``for path in
-    asof_paths(): ...`` yields "broadcast", then "shuffle", with
-    ``stages.asof.BROADCAST_MAX_BYTES`` patched to force each."""
-    import pystreamfs_ray.stages.asof as asof
+def broadcast_paths(monkeypatch):
+    """Run a block on both sides of the one broadcast gate
+    (``util.fits_broadcast``): ``for path in broadcast_paths(): ...``
+    yields "broadcast", then "shuffle", with
+    ``util.BROADCAST_MAX_BYTES`` patched to force each;
+    ``broadcast_paths("shuffle")`` runs only the named path. A side with
+    no rows is broadcast either way."""
+    import pystreamfs_ray.util as util
 
-    def paths():
+    def paths(*only):
         for name, gate in (("broadcast", 1 << 62), ("shuffle", -1)):
-            monkeypatch.setattr(asof, "BROADCAST_MAX_BYTES", gate)
-            yield name
+            if not only or name in only:
+                monkeypatch.setattr(util, "BROADCAST_MAX_BYTES", gate)
+                yield name
 
     return paths

@@ -1,5 +1,5 @@
 """As-of join edge cases, each run on both sides of the broadcast gate
-(``stages.asof.BROADCAST_MAX_BYTES``): the broadcast probe and the
+(``util.BROADCAST_MAX_BYTES``): the broadcast probe and the
 bucketed shuffle must return the same rows, payloads and tie winners."""
 
 import numpy as np
@@ -81,23 +81,23 @@ def _join(left_ds, right_ds, **kw) -> pd.DataFrame:
 
 
 @pytest.mark.parametrize("direction,exact", [("backward", True), ("forward", False)])
-def test_asof_ties_same_winner_both_paths(ray_session, asof_paths, direction, exact):
+def test_asof_ties_same_winner_both_paths(ray_session, broadcast_paths, direction, exact):
     import ray.data as rd
 
     want = _replay(_left(), pa.concat_tables(_right_blocks()),
                    direction=direction, allow_exact_matches=exact)
-    for path in asof_paths():
+    for path in broadcast_paths():
         got = _join(rd.from_arrow(_left()), rd.from_arrow(_right_blocks()),
                     direction=direction, allow_exact_matches=exact)
         pd.testing.assert_frame_equal(got, want, check_dtype=False, obj=path)
 
 
-def test_asof_zero_row_schemaless_right_blocks(ray_session, asof_paths):
+def test_asof_zero_row_schemaless_right_blocks(ray_session, broadcast_paths):
     import ray.data as rd
 
     b1, b2 = _right_blocks()
     want = _replay(_left(), pa.concat_tables([b1, b2]))
-    for path in asof_paths():
+    for path in broadcast_paths():
         right = rd.from_arrow([pa.table({}), b1, pa.table({}), b2, pa.table({})])
         got = _join(rd.from_arrow(_left()), right)
         pd.testing.assert_frame_equal(got, want, check_dtype=False, obj=path)
@@ -105,11 +105,11 @@ def test_asof_zero_row_schemaless_right_blocks(ray_session, asof_paths):
 
 @pytest.mark.parametrize("how", ["inner", "left"])
 @pytest.mark.parametrize("schema", [True, False])
-def test_asof_empty_right(ray_session, asof_paths, how, schema):
+def test_asof_empty_right(ray_session, broadcast_paths, how, schema):
     import ray.data as rd
 
     empty = _right_blocks()[0].slice(0, 0) if schema else pa.table({})
-    for path in asof_paths():
+    for path in broadcast_paths():
         got = _join(rd.from_arrow(_left()), rd.from_arrow(empty), how=how)
         if how == "inner":
             assert len(got) == 0, path
@@ -122,7 +122,7 @@ def test_asof_empty_right(ray_session, asof_paths, how, schema):
 
 
 @pytest.mark.parametrize("how", ["inner", "left"])
-def test_asof_pandas_block_inputs(ray_session, asof_paths, how):
+def test_asof_pandas_block_inputs(ray_session, broadcast_paths, how):
     """Pandas blocks on both sides. Ray turns the ``w`` column of a
     pandas block into a fixed-shape tensor column, which cannot hold the
     nulls of unmatched left rows, so the left join drops it."""
@@ -134,13 +134,13 @@ def test_asof_pandas_block_inputs(ray_session, asof_paths, how):
     want = _replay(_left(), pa.concat_tables(blocks), how=how)
     if how == "left":
         want = want.drop(columns=["w"])
-    for path in asof_paths():
+    for path in broadcast_paths():
         got = _join(rd.from_pandas(_left().to_pandas()),
                     rd.from_pandas([b.to_pandas() for b in blocks]), how=how)
         pd.testing.assert_frame_equal(got, want, check_dtype=False, obj=path)
 
 
-def test_flagship_kernel_ties_same_winner(ray_session, synth_dirs, asof_paths):
+def test_flagship_kernel_ties_same_winner(ray_session, synth_dirs, broadcast_paths):
     """flagship() joins the windows of several kernels without the
     ``kernel`` column: every (conv_id, ts_end) is tied once per kernel.
     Both paths pick the same row, the last kernel's window."""
@@ -150,7 +150,7 @@ def test_flagship_kernel_ties_same_winner(ray_session, synth_dirs, asof_paths):
 
     kernels = ["ofs", "efs", "fsds"]
     joined = {}
-    for path in asof_paths():
+    for path in broadcast_paths():
         windows, j, _ = flagship(
             rd.read_parquet(synth_dirs["transcripts"]),
             rd.read_parquet(synth_dirs["labels"]),

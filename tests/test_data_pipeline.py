@@ -42,14 +42,14 @@ def test_exact_dedup(ray_session, docs_with_dups):
     assert (dup_rows["doc_id"] < 50).all()  # keeper is the smallest id
 
 
-def test_minhash_join_path_equals_broadcast(ray_session, docs_with_dups):
+def test_minhash_join_path_equals_broadcast(ray_session, docs_with_dups,
+                                            broadcast_paths):
     """The hash-join verification (scale path) == the broadcast path."""
     import ray.data as rd
 
-    a = D.minhash_lsh_pairs(rd.from_arrow(docs_with_dups),
-                            threshold=0.5).to_pandas()
-    b = D.minhash_lsh_pairs(rd.from_arrow(docs_with_dups), threshold=0.5,
-                            broadcast_threshold=0).to_pandas()
+    a, b = (D.minhash_lsh_pairs(rd.from_arrow(docs_with_dups),
+                                threshold=0.5).to_pandas()
+            for _ in broadcast_paths())
     key = ["id_a", "id_b"]
     a = a.sort_values(key, ignore_index=True)
     b = b.sort_values(key, ignore_index=True)
@@ -170,7 +170,8 @@ def test_connected_components_long_chain(ray_session):
     assert got == {i: 0 for i in range(n)}
 
 
-def test_connected_components_warns_on_round_cap(ray_session):
+def test_connected_components_warns_on_round_cap(ray_session,
+                                                 broadcast_paths):
     import pyarrow as pa_
     import ray.data as rd
 
@@ -179,14 +180,16 @@ def test_connected_components_warns_on_round_cap(ray_session):
         "id_a": pa_.array(list(range(n - 1)), type=pa_.int64()),
         "id_b": pa_.array(list(range(1, n)), type=pa_.int64()),
     })
-    with pytest.warns(RuntimeWarning, match="still converging"):
-        # the round cap applies to the distributed loop; pin it on
-        # (driver_threshold=0) — the driver path always converges
-        D.connected_components(rd.from_arrow(pairs), max_rounds=1,
-                               driver_threshold=0).to_pandas()
+    # the round cap applies to the distributed loop; pin it on — the
+    # driver path always converges
+    for _ in broadcast_paths("shuffle"):
+        with pytest.warns(RuntimeWarning, match="still converging"):
+            D.connected_components(rd.from_arrow(pairs),
+                                   max_rounds=1).to_pandas()
 
 
-def test_connected_components_driver_vs_distributed(ray_session):
+def test_connected_components_driver_vs_distributed(ray_session,
+                                                    broadcast_paths):
     """The size-gated driver fast path computes the identical labeling
     to the distributed min-label loop on a random multi-component
     graph (and on string node ids, where min-index must equal
@@ -211,10 +214,9 @@ def test_connected_components_driver_vs_distributed(ray_session):
     pairs = pa_.table({"id_a": pa_.array(np.array(ia)[m], type=pa_.int64()),
                        "id_b": pa_.array(np.array(ib)[m], type=pa_.int64())})
     ds = rd.from_arrow(pairs).repartition(5)
-    fast = (D.connected_components(ds).to_pandas()
-            .sort_values("node", ignore_index=True))
-    dist = (D.connected_components(ds, driver_threshold=0).to_pandas()
-            .sort_values("node", ignore_index=True))
+    fast, dist = (D.connected_components(ds).to_pandas()
+                  .sort_values("node", ignore_index=True)
+                  for _ in broadcast_paths())
     pd.testing.assert_frame_equal(fast, dist)
 
     # string node ids
@@ -222,10 +224,9 @@ def test_connected_components_driver_vs_distributed(ray_session):
         "id_a": pa_.array(["d%03d" % i for i in pairs["id_a"].to_pylist()]),
         "id_b": pa_.array(["d%03d" % i for i in pairs["id_b"].to_pylist()])})
     sds = rd.from_arrow(spairs)
-    sfast = (D.connected_components(sds).to_pandas()
-             .sort_values("node", ignore_index=True))
-    sdist = (D.connected_components(sds, driver_threshold=0).to_pandas()
-             .sort_values("node", ignore_index=True))
+    sfast, sdist = (D.connected_components(sds).to_pandas()
+                    .sort_values("node", ignore_index=True)
+                    for _ in broadcast_paths())
     pd.testing.assert_frame_equal(sfast, sdist)
 
 
@@ -563,7 +564,7 @@ def test_repetition_stats_known_values(ray_session):
     assert bool(out.loc[0, "keep_gopher"]) is False
 
 
-def test_decontaminate_planted_overlap(ray_session):
+def test_decontaminate_planted_overlap(ray_session, broadcast_paths):
     """A corpus doc sharing exactly two distinct 4-grams with an eval
     doc is flagged with n_shared=2; clean docs are absent."""
     import ray.data as rd
@@ -584,14 +585,13 @@ def test_decontaminate_planted_overlap(ray_session):
     }
     t = pa.table({"doc_id": pa.array(list(texts), type=pa.int64()),
                   "text": list(texts.values())})
-    out = decontaminate(rd.from_arrow(t), n=4, eval_rate=0.5,
-                        num_partitions=2).to_pandas()
+    out, out2 = (decontaminate(rd.from_arrow(t), n=4,
+                               eval_rate=0.5).to_pandas()
+                 for _ in broadcast_paths())
     got = dict(zip(out["doc_id"], out["n_shared"]))
     assert got == {co[0]: 2}
 
     # join fallback (eval too big to broadcast) must agree exactly
-    out2 = decontaminate(rd.from_arrow(t), n=4, eval_rate=0.5,
-                         num_partitions=2, broadcast_threshold=0).to_pandas()
     assert dict(zip(out2["doc_id"], out2["n_shared"])) == got
 
 

@@ -53,8 +53,9 @@ def test_salted_eval_matches_inline(ray_session, synth_dirs, model):
     np.testing.assert_array_equal(a["acc"].to_numpy(), b["acc"].to_numpy())
 
 
-def test_eval_join_fallback_matches_broadcast(ray_session, synth_dirs):
-    """broadcast_threshold=0 forces the distributed hash-join cap path;
+def test_eval_join_fallback_matches_broadcast(ray_session, synth_dirs,
+                                              broadcast_paths):
+    """The "shuffle" path forces the distributed hash-join cap path;
     output must equal the broadcast-map path bit for bit."""
     import ray.data as rd
 
@@ -78,8 +79,8 @@ def test_eval_join_fallback_matches_broadcast(ray_session, synth_dirs):
                        add_lag, num_buckets=8)
     kw = dict(batch_size=bs, max_history=hist, model="knn",
               chunk_windows=3, num_buckets=8)
-    a = evaluate_windows(feats, specs, **kw).to_pandas()
-    b = evaluate_windows(feats, specs, broadcast_threshold=0, **kw).to_pandas()
+    a, b = (evaluate_windows(feats, specs, **kw).to_pandas()
+            for _ in broadcast_paths())
     key = ["kernel", "conv_id", "window_id"]
     a = a.sort_values(key, ignore_index=True)
     b = b.sort_values(key, ignore_index=True)

@@ -18,27 +18,25 @@ def _docs_ds(n=200, seed=3):
         "doc_id": np.arange(n, dtype=np.int64), "text": texts}))
 
 
-def test_tfidf_join_path_matches_broadcast(ray_session):
-    """broadcast_threshold=0 forces the distributed-vocab hash-join path;
+def test_tfidf_join_path_matches_broadcast(ray_session, broadcast_paths):
+    """The "shuffle" path forces the distributed-vocab hash-join path;
     results must be identical to the broadcast path (VERDICT r2 #2)."""
     from pystreamfs_ray.stages.textstats import tfidf_top_term
 
     docs = _docs_ds()
-    a = (tfidf_top_term(docs).to_pandas()
-         .sort_values("doc_id", ignore_index=True))
-    b = (tfidf_top_term(docs, broadcast_threshold=0).to_pandas()
-         .sort_values("doc_id", ignore_index=True))
+    a, b = (tfidf_top_term(docs).to_pandas()
+            .sort_values("doc_id", ignore_index=True)
+            for _ in broadcast_paths())
     pd.testing.assert_frame_equal(a, b[a.columns], check_dtype=False)
 
 
-def test_pmi_join_path_matches_broadcast(ray_session):
+def test_pmi_join_path_matches_broadcast(ray_session, broadcast_paths):
     from pystreamfs_ray.stages.textstats import pmi_bigrams
 
     docs = _docs_ds()
-    a = (pmi_bigrams(docs, min_count=2).to_pandas()
-         .sort_values(["w1", "w2"], ignore_index=True))
-    b = (pmi_bigrams(docs, min_count=2, broadcast_threshold=0).to_pandas()
-         .sort_values(["w1", "w2"], ignore_index=True))
+    a, b = (pmi_bigrams(docs, min_count=2).to_pandas()
+            .sort_values(["w1", "w2"], ignore_index=True)
+            for _ in broadcast_paths())
     assert len(a) > 0
     pd.testing.assert_frame_equal(a, b[a.columns], check_dtype=False)
 
@@ -254,7 +252,7 @@ def test_temperature_mix_semantics(ray_session):
     assert abs(frac["b"] - 0.5) < 0.05
 
 
-def test_unigram_logprob_paths_match(ray_session):
+def test_unigram_logprob_paths_match(ray_session, broadcast_paths):
     """Broadcast and join paths of the unigram-LM quality proxy return
     identical (doc, n_tokens, nll); values match a local reference."""
     import ray.data as rd
@@ -266,10 +264,9 @@ def test_unigram_logprob_paths_match(ray_session):
         "text": ["a a b", "b c", "", "c c c a"],
     })
     ds = rd.from_pandas(docs).repartition(2)
-    a = (unigram_logprob(ds).to_pandas()
-         .sort_values("doc_id", ignore_index=True))
-    b = (unigram_logprob(ds, broadcast_threshold=0).to_pandas()
-         .sort_values("doc_id", ignore_index=True))
+    a, b = (unigram_logprob(ds).to_pandas()
+            .sort_values("doc_id", ignore_index=True)
+            for _ in broadcast_paths())
     pd.testing.assert_frame_equal(a, b[a.columns], check_dtype=False)
     # local reference: counts a=3, b=2, c=4, N=9
     import math

@@ -63,38 +63,6 @@ def test_grouped_quantiles_sketch_error_bound(ray_session):
             assert lo - 1e-6 <= got[nm] <= hi + 1e-6, (split, nm, got[nm], lo, hi)
 
 
-def test_mem_probe_sampling_cadence(ray_session, synth_dirs):
-    """mem_probe_every > 1 changes ONLY the mem_bytes sampling cadence:
-    every window still carries a (non-null) sample and all other output
-    columns are identical to the per-window-probe run."""
-    import ray.data as rd
-
-    from pystreamfs_ray.pipelines.flagship import feature_windows
-
-    key = ["kernel", "conv_id", "window_id"]
-    outs = []
-    for k in (1, 16):
-        outs.append(feature_windows(
-            rd.read_parquet(synth_dirs["transcripts"]), kernel="ofs",
-            batch_size=20, num_features=5, num_buckets=4,
-            mem_probe_every=k,
-        ).to_pandas().sort_values(key, ignore_index=True))
-    a, b = outs
-    assert (b["mem_bytes"].to_numpy() > 0).all()
-    for col in a.columns:
-        if col in ("mem_bytes", "wall_ms"):
-            continue
-        if col in ("w", "selected"):
-            for va, vb in zip(a[col], b[col]):
-                np.testing.assert_array_equal(np.asarray(va), np.asarray(vb))
-        else:
-            va, vb = a[col].to_numpy(), b[col].to_numpy()
-            if va.dtype.kind == "f":
-                assert ((va == vb) | (np.isnan(va) & np.isnan(vb))).all(), col
-            else:
-                assert (va == vb).all(), col
-
-
 def test_heavy_hitters_two_pass_and_fallback(ray_session):
     """Two-pass path matches the exact ground truth on a skewed column
     (and under a second partitioning); the degenerate-input fallback
@@ -299,7 +267,7 @@ def test_split_assign_ratios_and_stability(ray_session):
     assert (merged["split_s"] == merged["split_f"]).all()
 
 
-def test_dup_ngram_stats_matches_naive(ray_session):
+def test_dup_ngram_stats_matches_naive(ray_session, broadcast_paths):
     """Per-doc duplicated-shingle counts equal a sequential pandas
     recount on a fixture with planted cross-doc overlap."""
     import ray
@@ -312,9 +280,10 @@ def test_dup_ngram_stats_matches_naive(ray_session):
     texts[7] = texts[3]                      # exact dup pair
     df = pd.DataFrame({"doc_id": np.arange(60), "text": texts})
 
-    got = (dup_ngram_stats(ray.data.from_pandas(df), n=3,
-                           num_partitions=2)
-           .to_pandas().sort_values("doc_id").reset_index(drop=True))
+    got, via_join = (dup_ngram_stats(ray.data.from_pandas(df), n=3)
+                     .to_pandas().sort_values("doc_id")
+                     .reset_index(drop=True)
+                     for _ in broadcast_paths())
 
     def grams(t, n=3):
         ws = t.split()
@@ -335,9 +304,6 @@ def test_dup_ngram_stats_matches_naive(ray_session):
     assert (merged["n_dup"] == merged["n_dup_w"]).all()
     assert merged.loc[merged.doc_id == 7, "n_dup"].iloc[0] >= 10
     # the distributed-join fallback must agree with the broadcast path
-    via_join = (dup_ngram_stats(ray.data.from_pandas(df), n=3,
-                                num_partitions=2, broadcast_threshold=0)
-                .to_pandas().sort_values("doc_id").reset_index(drop=True))
     pd.testing.assert_frame_equal(got, via_join)
 
 
@@ -562,7 +528,7 @@ def test_neardup_canonical_argmax_and_partition_invariance(ray_session):
         pds = ray.data.from_pandas(pairs_blocks)
         ads = ray.data.from_pandas(attrs_blocks)
         return (neardup_canonical(pds, ads, id_col="doc_id",
-                                  score_col="n_chars", num_partitions=2)
+                                  score_col="n_chars")
                 .to_pandas().sort_values("component", ignore_index=True))
 
     got = run([pairs], [attrs])
@@ -578,6 +544,38 @@ def test_neardup_canonical_argmax_and_partition_invariance(ray_session):
                [attrs.iloc[[3, 5]], attrs.iloc[[1, 0]], attrs.iloc[[4, 2]]])
     pd.testing.assert_frame_equal(got.astype(np.int64),
                                   got2.astype(np.int64))
+
+
+def test_neardup_canonical_join_path_matches_broadcast(ray_session,
+                                                       broadcast_paths):
+    """The hash-join path (component map kept distributed, components
+    by the distributed label loop) keeps the same copy per group as the
+    broadcast path, on a random multi-component graph with score ties
+    and attribute rows outside the graph."""
+    import ray
+
+    from pystreamfs_ray.stages.dedup import neardup_canonical
+
+    rng = np.random.default_rng(5)
+    ia, ib, base = [], [], 0
+    for size in rng.integers(2, 12, size=25):
+        perm = base + rng.permutation(int(size))
+        ia.extend(perm[:-1])  # spanning chain: one component per group
+        ib.extend(perm[1:])
+        base += int(size)
+    pairs = pd.DataFrame({"id_a": np.array(ia, dtype=np.int64),
+                          "id_b": np.array(ib, dtype=np.int64)})
+    attrs = pd.DataFrame({"doc_id": np.arange(base + 20, dtype=np.int64),
+                          "n_chars": rng.integers(0, 6, size=base + 20)})
+    bcast, join = (neardup_canonical(
+        ray.data.from_pandas([pairs.iloc[:40], pairs.iloc[40:]]),
+        ray.data.from_pandas([attrs.iloc[:70], attrs.iloc[70:]]),
+        id_col="doc_id", score_col="n_chars")
+        .to_pandas().astype(np.int64).sort_values("component",
+                                                  ignore_index=True)
+        for _ in broadcast_paths())
+    assert len(bcast) == 25 and bcast["n_members"].sum() == base
+    pd.testing.assert_frame_equal(bcast, join)
 
 
 def test_split_centroid_drift_matches_numpy(ray_session):
@@ -665,7 +663,7 @@ def test_incremental_dedup_index_roundtrip(ray_session, tmp_path):
                              "text": ["beta", "gamma", "gamma", "delta"]})
     got = (incremental_exact_dedup(
         ray.data.from_pandas([arrivals.iloc[:2], arrivals.iloc[2:]]),
-        idx, num_partitions=2)
+        idx)
         .to_pandas().sort_values("doc_id", ignore_index=True))
     want = pd.DataFrame({"doc_id": [11, 13],
                          "n_dupes": np.array([2, 1], dtype=np.int64),
@@ -673,8 +671,8 @@ def test_incremental_dedup_index_roundtrip(ray_session, tmp_path):
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
-def test_bigram_logprob_paths_and_direct(ray_session):
-    """Join path (broadcast_threshold=0) equals the broadcast path, and
+def test_bigram_logprob_paths_and_direct(ray_session, broadcast_paths):
+    """Join path equals the broadcast path, and
     both equal a direct computation on a tiny corpus; <2-token docs
     are omitted, empty docs don't shift pair/doc alignment."""
     import ray
@@ -684,10 +682,9 @@ def test_bigram_logprob_paths_and_direct(ray_session):
     df = pd.DataFrame({"doc_id": np.arange(5, dtype=np.int64),
                        "text": ["a b a b", "b a", "", "c", "a b c"]})
     ds = ray.data.from_pandas([df.iloc[:2], df.iloc[2:]])
-    a = (bigram_logprob(ds).to_pandas()
-         .sort_values("doc_id", ignore_index=True))
-    b = (bigram_logprob(ds, broadcast_threshold=0).to_pandas()
-         .sort_values("doc_id", ignore_index=True))
+    a, b = (bigram_logprob(ds).to_pandas()
+            .sort_values("doc_id", ignore_index=True)
+            for _ in broadcast_paths())
     pd.testing.assert_frame_equal(a, b[a.columns], check_dtype=False)
 
     # direct: corpus unigrams a:4 b:4 c:2; bigrams ab:2 ba:2 bc:1 ...
@@ -707,11 +704,12 @@ def test_bigram_logprob_paths_and_direct(ray_session):
     assert set(a["doc_id"]) == {0, 1, 4}
 
 
-def test_join_fallback_paths_survive_tiny_vocab(ray_session):
+def test_join_fallback_paths_survive_tiny_vocab(ray_session,
+                                                broadcast_paths):
     """A corpus whose aggregate leaves some hash partitions EMPTY used
     to emit schema-less empty blocks that broke every downstream hash
     join (FieldRef resolution). All broadcast/join-switch operators
-    must now survive threshold=0 on a 3-word corpus."""
+    must now survive the forced join path on a 3-word corpus."""
     import ray
 
     from pystreamfs_ray.stages.textstats import (pmi_bigrams,
@@ -723,12 +721,11 @@ def test_join_fallback_paths_survive_tiny_vocab(ray_session):
     ds = ray.data.from_pandas([df.iloc[:2], df.iloc[2:]])
     for fn, sort_cols in ((tfidf_top_term, ["doc_id"]),
                           (unigram_logprob, ["doc_id"]),
-                          (lambda d, **kw: pmi_bigrams(d, min_count=1, **kw),
+                          (lambda d: pmi_bigrams(d, min_count=1),
                            ["w1", "w2"])):
-        a = (fn(ds).to_pandas()
-             .sort_values(sort_cols, ignore_index=True))
-        b = (fn(ds, broadcast_threshold=0).to_pandas()
-             .sort_values(sort_cols, ignore_index=True))
+        a, b = (fn(ds).to_pandas()
+                .sort_values(sort_cols, ignore_index=True)
+                for _ in broadcast_paths())
         pd.testing.assert_frame_equal(a, b[a.columns], check_dtype=False)
 
 
@@ -756,10 +753,8 @@ def test_round4_ops_empty_input_safety(ray_session):
         linear_score(docs),
         bigram_logprob(docs),
         fingerprint_index(docs),
-        incremental_exact_dedup(docs, fingerprint_index(docs),
-                                num_partitions=2),
-        neardup_canonical(pairs, docs, score_col="n_chars",
-                          num_partitions=2),
+        incremental_exact_dedup(docs, fingerprint_index(docs)),
+        neardup_canonical(pairs, docs, score_col="n_chars"),
     ]
     for r in results:
         assert r.count() == 0
@@ -792,8 +787,8 @@ def test_incremental_dedup_empty_index_and_id_dtype(ray_session):
         "doc_id": np.array([3, 1, 2, 7], dtype=np.int64),
         "text": ["a", "b", "a", "c"]}))
 
-    kept = incremental_exact_dedup(arrivals, fingerprint_index(empty_docs),
-                                   num_partitions=2).to_pandas()
+    kept = incremental_exact_dedup(arrivals,
+                                   fingerprint_index(empty_docs)).to_pandas()
     # empty index → every distinct text survives, min id kept
     assert sorted(kept["doc_id"].tolist()) == [1, 2, 7]
 
@@ -801,8 +796,7 @@ def test_incremental_dedup_empty_index_and_id_dtype(ray_session):
     str_docs = rd.from_pandas(pd.DataFrame({
         "doc_id": pd.Series([], dtype=str),
         "text": pd.Series([], dtype=str)}))
-    out = incremental_exact_dedup(
-        str_docs, fingerprint_index(empty_docs), num_partitions=2)
+    out = incremental_exact_dedup(str_docs, fingerprint_index(empty_docs))
     assert out.count() == 0
     schema = out.schema()
     assert dict(zip(schema.names, schema.types))["doc_id"] == pa.string()
@@ -966,7 +960,7 @@ def test_snapshot_diff_hand_case_and_empty(ray_session):
         "doc_id": np.array([1, 3, 9], dtype=np.int64),
         "source": ["web", "book", "book"],
         "text": ["same", "stays-revised", "brand new"]}))
-    out = (snapshot_diff(a, b, num_partitions=2).to_pandas()
+    out = (snapshot_diff(a, b).to_pandas()
            .set_index("source").sort_index())
     assert out.loc["web"].tolist() == [0, 1, 0, 1]   # added,removed,changed,unchanged
     assert out.loc["book"].tolist() == [1, 0, 1, 0]
@@ -975,13 +969,13 @@ def test_snapshot_diff_hand_case_and_empty(ray_session):
         "doc_id": pd.Series([], dtype=np.int64),
         "source": pd.Series([], dtype=str),
         "text": pd.Series([], dtype=str)}))
-    only_added = (snapshot_diff(empty, b, num_partitions=2).to_pandas())
+    only_added = (snapshot_diff(empty, b).to_pandas())
     assert only_added["n_added"].sum() == 3
     assert (only_added[["n_removed", "n_changed", "n_unchanged"]]
             .to_numpy().sum() == 0)
-    only_removed = snapshot_diff(a, empty, num_partitions=2).to_pandas()
+    only_removed = snapshot_diff(a, empty).to_pandas()
     assert only_removed["n_removed"].sum() == 3
-    assert snapshot_diff(empty, empty, num_partitions=2).count() == 0
+    assert snapshot_diff(empty, empty).count() == 0
 
 
 def test_new_ops_partition_invariance(ray_session):
@@ -1016,7 +1010,7 @@ def test_new_ops_partition_invariance(ray_session):
         return (
             length_buckets(d).to_pandas()
             .sort_values("bucket", ignore_index=True),
-            snapshot_diff(d, db, num_partitions=2).to_pandas()
+            snapshot_diff(d, db).to_pandas()
             .sort_values("source", ignore_index=True),
             late_event_stats(e, order_col="arrival", num_buckets=4).to_pandas()
             .sort_values("user_id", ignore_index=True),
@@ -1692,8 +1686,8 @@ def test_session3_ops_empty_input_safety(ray_session):
 
     assert prefix_dedup(docs, text_col="text", num_partitions=4).count() == 0
     sigs = minhash_signatures(docs).materialize()
-    assert incremental_minhash_pairs(docs, sigs, threshold=0.2,
-                                     num_partitions=2).count() == 0
+    assert incremental_minhash_pairs(docs, sigs,
+                                     threshold=0.2).count() == 0
     p = psi_drift(ev, bins=10, lo_cents=0, hi_cents=50_000)
     assert len(p) == 0 and list(p.columns) == ["day", "psi"]
     b = bpe_train(docs, num_merges=4)
@@ -2537,7 +2531,7 @@ def test_window_heavy_replay(ray_session):
         assert list(mine["rk"]) == list(range(1, len(c) + 1))
 
 
-def test_asof_nearest_semantics(ray_session, asof_paths):
+def test_asof_nearest_semantics(ray_session, broadcast_paths):
     """Every match is the temporally closest candidate; ties go to the
     past (pandas merge_asof parity) — verified by a per-row replay."""
     from pystreamfs_ray.pipelines.queries import q_asof_nearest
@@ -2547,7 +2541,7 @@ def test_asof_nearest_semantics(ray_session, asof_paths):
     ev = read_parquet(sf + "/events.parquet").to_pandas()
     right = ev[ev["event_type"] != "purchase"]
     by_user = {u: g["ts"].to_numpy() for u, g in right.groupby("user_id")}
-    for path in asof_paths():
+    for path in broadcast_paths():
         got = q_asof_nearest(sf).to_pandas()
         assert len(got) > 0, path
         for _, r in got.head(200).iterrows():

@@ -436,6 +436,34 @@ def test_substr_dup_coverage_planted(ray_session):
     pd.testing.assert_frame_equal(roll, out)
 
 
+def test_substr_dup_coverage_two_text_passes(ray_session, tmp_path):
+    """The repeated-gram set is computed once: the input is read by
+    exactly two passes (gram counts, then scoring), counted through a
+    marker stage that logs each batch's row count to a file."""
+    import os
+    import uuid
+
+    from pystreamfs_ray.stages.dedup import substr_dup_coverage
+
+    marks = str(tmp_path)
+
+    def mark(batch):
+        with open(os.path.join(marks, uuid.uuid4().hex), "w") as fh:
+            fh.write(str(len(batch)))
+        return batch
+
+    df = pd.DataFrame({"doc_id": np.arange(6, dtype=np.int64),
+                       "text": ["shared verbatim span of forty characters!"
+                                f" doc {i}" for i in range(6)]})
+    ds = rd.from_pandas(df).repartition(2).map_batches(
+        mark, batch_format="pandas")
+    out = substr_dup_coverage(ds, gram_len=30).to_pandas()
+    assert len(out) == 6 and (out["covered_chars"] > 0).all()
+    read = sum(int(open(os.path.join(marks, f)).read())
+               for f in os.listdir(marks))
+    assert read == 2 * len(df)
+
+
 def test_stats_table_observability(ray_session):
     """stats_table parses an executed pipeline's per-operator stats
     into a usable frame (the wall-vs-useful-compute health check)."""

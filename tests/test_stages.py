@@ -137,7 +137,7 @@ def test_selector_evaluation(ray_session, synth_dirs):
     assert ((out["acc"] >= 0) & (out["acc"] <= 1)).all()
 
 
-def test_asof_join_leakage_and_duckdb(ray_session, synth_dirs, asof_paths):
+def test_asof_join_leakage_and_duckdb(ray_session, synth_dirs, broadcast_paths):
     import duckdb
     import ray.data as rd
 
@@ -154,7 +154,7 @@ def test_asof_join_leakage_and_duckdb(ray_session, synth_dirs, asof_paths):
     ).df()
     b = want.sort_values(["conv_id", "ts", "label"], ignore_index=True)
     n_labels = _read_all(synth_dirs["labels"]).num_rows
-    for path in asof_paths():
+    for path in broadcast_paths():
         labels = rd.read_parquet(synth_dirs["labels"])
         trans = rd.read_parquet(synth_dirs["transcripts"]).select_columns(
             ["conv_id", "turn_idx", "ts"]
@@ -447,13 +447,13 @@ def test_cms_bounds_and_merge_invariance(ray_session):
     pd.testing.assert_frame_equal(a, b)
 
 
-def test_asof_forward_strictly_after(ray_session, asof_paths):
+def test_asof_forward_strictly_after(ray_session, broadcast_paths):
     """Forward as-of: every matched event is STRICTLY after the left
     row (the mirror of the backward form's zero-leakage property)."""
     from pystreamfs_ray.pipelines.queries import q_asof_forward
     from tests.test_entry_contract import SF_DIR
 
-    for path in asof_paths():
+    for path in broadcast_paths():
         out = q_asof_forward(SF_DIR).to_pandas()
         assert len(out) > 0, path
         assert (out["ts_matched"] > out["ts"]).all(), path
