@@ -55,8 +55,6 @@ def entry() -> Any:
     """Flagship pipeline on /root/testdata/sf0.001: events-derived
     transcripts → featurize → OFS selector windows → as-of join onto
     purchase-label timestamps. Returns the joined Dataset."""
-    import ray.data as rd
-
     from pystreamfs_ray.sources import read_parquet
 
     from pystreamfs_ray.pipelines.flagship import flagship

@@ -59,8 +59,6 @@ def main(argv=None) -> int:
 
     DataContext.get_current().enable_progress_bars = False
 
-    import ray.data as rd
-
     from pystreamfs_ray.sources import read_parquet
 
     from pystreamfs_ray.pipelines.flagship import flagship

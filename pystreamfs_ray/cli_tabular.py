@@ -63,11 +63,9 @@ def main(argv=None) -> int:
 
     DataContext.get_current().enable_progress_bars = False
 
-    from ray.data.aggregate import Sum
-
     from pystreamfs_ray.sources import read_parquet, write_partitioned_parquet
     from pystreamfs_ray.stages.dedup import _md5_lower64
-    from pystreamfs_ray.util import arrow_combiner, ensure_cols
+    from pystreamfs_ray.util import combine_sum, ensure_cols
 
     t0 = time.perf_counter()
     cols = ["event_id", "ts", "event_type", "value"]
@@ -83,12 +81,7 @@ def main(argv=None) -> int:
              .groupby("event_type", sort=False, as_index=False).sum())
         return g
 
-    stats = (ev.map_batches(arrow_combiner(partial),
-                            batch_format="pyarrow")
-             .groupby("event_type")
-             .aggregate(Sum("n", alias_name="n"),
-                        Sum("s1", alias_name="s1"),
-                        Sum("s2", alias_name="s2"))
+    stats = (combine_sum(ev, partial, "event_type", ["n", "s1", "s2"])
              .to_pandas())
     stats = ensure_cols(stats, {"event_type": object, "n": np.int64,
                                 "s1": np.int64, "s2": np.int64})

@@ -15,7 +15,7 @@ window) seeding (needed by CancelOut). State must be picklable.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Protocol
+from typing import Any, Protocol
 
 import numpy as np
 

@@ -25,13 +25,14 @@ import ray
 import ray.data as rd
 
 from pystreamfs_ray.sources import read_parquet
-from ray.data.aggregate import Count, Max, Mean, Min, Sum
+from ray.data.aggregate import Count, Max, Min, Sum
 
 from pystreamfs_ray.pipelines.flagship import feature_windows
 from pystreamfs_ray.pipelines.transcripts import transcripts_from_events
 from pystreamfs_ray.stages import window as W
 from pystreamfs_ray.stages.asof import asof_join
 from pystreamfs_ray.stages.featurize import featurize
+from pystreamfs_ray.util import combine_sum
 
 _BUCKETS = 32
 
@@ -818,16 +819,10 @@ def q_word_topk(sf_dir: str):
     def partial_counts(df: pd.DataFrame) -> pd.DataFrame:
         words = df["text"].str.lower().str.findall(r"[a-z0-9_]+").explode()
         vc = words.value_counts()
-        return pd.DataFrame({"word": vc.index.astype(str), "n": vc.to_numpy()})
+        return pd.DataFrame({"word": vc.index.astype(str),
+                             "n_total": vc.to_numpy()})
 
-    from pystreamfs_ray.util import arrow_combiner
-
-    total = (
-        ev.map_batches(arrow_combiner(partial_counts),
-                       batch_format="pyarrow")
-        .groupby("word")
-        .aggregate(Sum("n", alias_name="n_total"))
-    )
+    total = combine_sum(ev, partial_counts, "word", ["n_total"])
     return (
         total.sort(["n_total", "word"], descending=[True, False]).limit(20)
     )
@@ -1118,8 +1113,6 @@ def q_json_extract(sf_dir: str):
     (`pc.extract_regex`), then a grouped roll-up. The oracle parses
     with DuckDB's real JSON reader — a cross-implementation check that
     the vectorized extraction equals true JSON semantics here."""
-    from ray.data.aggregate import Count, Max, Sum
-
     ds = read_parquet(_p(sf_dir, "events"), columns=["event_type", "props"])
 
     def fn(t: pa.Table) -> pa.Table:
@@ -1560,12 +1553,7 @@ def q_lang_entropy(sf_dir: str):
 
         return arrow_block(g)
 
-    from pystreamfs_ray.util import arrow_combiner
-
-    counts = (ev.map_batches(arrow_combiner(partial), batch_format="pyarrow")
-              .groupby(["source", "lang"])
-              .aggregate(Sum("c", alias_name="c"))
-              .to_pandas())
+    counts = combine_sum(ev, partial, ["source", "lang"], ["c"]).to_pandas()
 
     def entropy(g: pd.DataFrame) -> float:
         p = g["c"].to_numpy(np.float64) / g["c"].sum()
@@ -1614,13 +1602,8 @@ def q_kfold(sf_dir: str):
 
         return arrow_block(g)
 
-    from pystreamfs_ray.util import arrow_combiner
-
     stats = token_stats(docs).select_columns(["doc_id", "n_tokens"])
-    return (stats.map_batches(arrow_combiner(assign), batch_format="pyarrow")
-            .groupby("fold")
-            .aggregate(Sum("n_docs", alias_name="n_docs"),
-                       Sum("n_tokens", alias_name="n_tokens")))
+    return combine_sum(stats, assign, "fold", ["n_docs", "n_tokens"])
 
 
 def q_hll_by_type(sf_dir: str):
@@ -1676,8 +1659,6 @@ def q_bloom_semi(sf_dir: str):
     the survivors — the two-stage pattern for key sets too large to
     broadcast exactly. Result is identical to the exact semi join, so
     the same SQL oracle gates it."""
-    import pyarrow.compute as _pc
-
     from pystreamfs_ray.sources import strip_schema_metadata
     from pystreamfs_ray.stages.joins import BloomFilter, bloom_semi_join
 
@@ -1757,7 +1738,6 @@ def q_trending(sf_dir: str):
     """Trending: top-3 event types per day by count — calendar × rank
     composition (two-level count combiner, then per-day top-k)."""
     from pystreamfs_ray.stages.grouped import grouped_topk
-    from pystreamfs_ray.util import arrow_combiner
 
     ev = read_parquet(_p(sf_dir, "events"), columns=["ts", "event_type"])
 
@@ -1765,14 +1745,11 @@ def q_trending(sf_dir: str):
         d = pd.to_datetime(df["ts"]).dt.floor("D")
         g = (pd.DataFrame({"day": d, "event_type": df["event_type"]})
              .groupby(["day", "event_type"], sort=False).size()
-             .reset_index(name="pc"))
-        g["pc"] = g["pc"].astype(np.int64)
+             .reset_index(name="n"))
+        g["n"] = g["n"].astype(np.int64)
         return g
 
-    counts = (ev.map_batches(arrow_combiner(day_counts),
-                             batch_format="pyarrow")
-              .groupby(["day", "event_type"])
-              .aggregate(Sum("pc", alias_name="n")))
+    counts = combine_sum(ev, day_counts, ["day", "event_type"], ["n"])
     out = grouped_topk(counts, "day", "n", 3, tiebreak_col="event_type")
     return out
 
@@ -1786,11 +1763,9 @@ def q_retention(sf_dir: str):
     from pystreamfs_ray.sources import strip_schema_metadata
     from pystreamfs_ray.util import arrow_combiner
 
-    from ray.data.aggregate import Min as _Min
-
     ev = read_parquet(_p(sf_dir, "events"), columns=["user_id", "ts"])
 
-    firsts = ev.groupby("user_id").aggregate(_Min("ts", alias_name="fts"))
+    firsts = ev.groupby("user_id").aggregate(Min("ts", alias_name="fts"))
 
     def to_cohort(df: pd.DataFrame) -> pd.DataFrame:
         wk = pd.to_datetime(df["fts"]).dt.to_period("W-SUN").dt.start_time
@@ -1827,14 +1802,12 @@ def q_retention(sf_dir: str):
                .dt.days // 7).astype(np.int64)
         g = (pd.DataFrame({"cohort": df["cohort"], "week_offset": off})
              .groupby(["cohort", "week_offset"], sort=False).size()
-             .reset_index(name="pc"))
-        g["pc"] = g["pc"].astype(np.int64)
+             .reset_index(name="n_active"))
+        g["n_active"] = g["n_active"].astype(np.int64)
         return g
 
-    return (joined.map_batches(arrow_combiner(to_offset),
-                               batch_format="pyarrow")
-            .groupby(["cohort", "week_offset"])
-            .aggregate(Sum("pc", alias_name="n_active")))
+    return combine_sum(joined, to_offset, ["cohort", "week_offset"],
+                       ["n_active"])
 
 
 def q_rrf(sf_dir: str):
@@ -1956,8 +1929,6 @@ def q_conv_stats(sf_dir: str):
     transcript-curation pipeline filters on (too-short / no-assistant /
     tool-free convs). One combiner aggregate over the derived
     transcript stream; shuffle bounded by n_convs rows."""
-    from ray.data.aggregate import Max, Min, Sum
-
     from pystreamfs_ray.util import arrow_combiner
 
     t = transcripts_from_events(sf_dir, num_buckets=_BUCKETS)
@@ -2023,8 +1994,6 @@ def q_left_outer_join(sf_dir: str):
     Ray's hash-partitioned join (both sides big), then a row-local
     null-fill. Counts pre-aggregated BEFORE the join (combiner side),
     so the join carries one row per custkey, not per order."""
-    from ray.data.aggregate import Count, Sum
-
     from pystreamfs_ray.util import arrow_combiner
 
     cust = read_parquet(_p(sf_dir, "customer"),
@@ -2071,8 +2040,6 @@ def q_full_outer_join(sf_dir: str):
     signups): days where either side is missing survive with zero — the
     reconciliation-report join shape. Both sides pre-aggregate to one
     row per day before the shuffle."""
-    from ray.data.aggregate import Count
-
     ev = read_parquet(_p(sf_dir, "events"), columns=["ts", "event_type"])
 
     def day_of(df: pd.DataFrame, etype: str) -> pd.DataFrame:
@@ -2150,8 +2117,6 @@ def q_rollup_revenue(sf_dir: str):
             "n_name": pc.take(d["n_name"], pos),
             "price_c": t["price_c"],
         })
-
-    from ray.data.aggregate import Sum
 
     fine = (joined.map_batches(attach, batch_format="pyarrow")
             .groupby(["r_name", "n_name"])
@@ -2609,10 +2574,7 @@ def q_data_card(sf_dir: str):
     |splits|x|sources|x|langs| partial rows before ONE tiny mergeable
     groupby; split labels are row-local (`sources.split_labels`), so
     the whole card costs a single pruned scan at any corpus size."""
-    from ray.data.aggregate import Sum
-
     from pystreamfs_ray.sources import split_labels
-    from pystreamfs_ray.util import arrow_combiner
 
     docs = read_parquet(_p(sf_dir, "documents"),
                         columns=["doc_id", "text", "lang", "source"])
@@ -2629,11 +2591,8 @@ def q_data_card(sf_dir: str):
         return (out.groupby(["split", "source", "lang"], sort=False)
                 .sum().reset_index())
 
-    return (docs.map_batches(arrow_combiner(partial), batch_format="pyarrow")
-            .groupby(["split", "source", "lang"])
-            .aggregate(Sum("n_docs", alias_name="n_docs"),
-                       Sum("n_chars", alias_name="n_chars"),
-                       Sum("n_words", alias_name="n_words")))
+    return combine_sum(docs, partial, ["split", "source", "lang"],
+                       ["n_docs", "n_chars", "n_words"])
 
 
 def q_tool_error_rate(sf_dir: str):
@@ -2644,8 +2603,6 @@ def q_tool_error_rate(sf_dir: str):
     conv-bucket + vectorized-shift shape as q_turn_latency; buckets
     emit per-tool partial counts, one tiny mergeable Sum groupby
     finishes (output is |tools| rows)."""
-    from ray.data.aggregate import Sum
-
     ts_ds = transcripts_from_events(sf_dir, num_buckets=_BUCKETS)
 
     def part(g: pd.DataFrame) -> pd.DataFrame:
@@ -2889,7 +2846,6 @@ def q_pii_rate(sf_dir: str):
     q_mask_pii; the corpus itself is PII-free). Doc-local detection,
     then a combiner partial so the shuffle is source-count-sized."""
     from pystreamfs_ray.stages.pii import mask_pii
-    from pystreamfs_ray.util import arrow_combiner
 
     docs = read_parquet(_p(sf_dir, "documents"),
                         columns=["doc_id", "source", "text"])
@@ -2919,14 +2875,9 @@ def q_pii_rate(sf_dir: str):
         return out.astype({c: np.int64 for c in out.columns
                            if c != "source"})
 
-    return (masked.map_batches(arrow_combiner(partial),
-                               batch_format="pyarrow")
-            .groupby("source")
-            .aggregate(Sum("n_docs", alias_name="n_docs"),
-                       Sum("n_email_docs", alias_name="n_email_docs"),
-                       Sum("n_phone_docs", alias_name="n_phone_docs"),
-                       Sum("n_emails", alias_name="n_emails"),
-                       Sum("n_phones", alias_name="n_phones")))
+    return combine_sum(masked, partial, "source",
+                       ["n_docs", "n_email_docs", "n_phone_docs", "n_emails",
+                        "n_phones"])
 
 
 def q_best_of_n(sf_dir: str):
@@ -3023,8 +2974,6 @@ def q_tool_chains(sf_dir: str):
     Same conv-bucket + vectorized-shift shape as q_turn_latency on the
     tool-call subsequence; buckets emit |tools|² partial counts, one
     tiny mergeable Sum groupby finishes."""
-    from ray.data.aggregate import Sum
-
     ts_ds = transcripts_from_events(sf_dir, num_buckets=_BUCKETS)
 
     def part(g: pd.DataFrame) -> pd.DataFrame:
@@ -3448,8 +3397,6 @@ def q_lang_outliers(sf_dir: str):
     shards. ONE combiner aggregate builds the (source, lang) count
     table; majority and outlier counts both derive from it (no second
     corpus scan)."""
-    from pystreamfs_ray.util import arrow_combiner
-
     docs = read_parquet(_p(sf_dir, "documents"),
                         columns=["doc_id", "source", "lang"])
 
@@ -3459,10 +3406,7 @@ def q_lang_outliers(sf_dir: str):
         out["n"] = out["n"].astype(np.int64)
         return out
 
-    counts = (docs.map_batches(arrow_combiner(partial),
-                               batch_format="pyarrow")
-              .groupby(["source", "lang"])
-              .aggregate(Sum("n", alias_name="n")))
+    counts = combine_sum(docs, partial, ["source", "lang"], ["n"])
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         # |sources|×|langs| rows — bounded; majority = (max n, min lang)
@@ -3510,7 +3454,7 @@ def q_label_propagate(sf_dir: str):
     (component, label) count table; members get the verdict through a
     second keyed join."""
     from pystreamfs_ray.stages.dedup import dedup_groups
-    from pystreamfs_ray.util import arrow_combiner, drop_empty_blocks
+    from pystreamfs_ray.util import drop_empty_blocks
 
     comp = dedup_groups(q_embedding_neardup(sf_dir))  # (node, component)
     emb = read_parquet(_p(sf_dir, "embeddings"),
@@ -3530,10 +3474,7 @@ def q_label_propagate(sf_dir: str):
         out["n"] = out["n"].astype(np.int64)
         return out
 
-    counts = (joined.map_batches(arrow_combiner(partial),
-                                 batch_format="pyarrow")
-              .groupby(["component", "label"])
-              .aggregate(Sum("n", alias_name="n")))
+    counts = combine_sum(joined, partial, ["component", "label"], ["n"])
 
     def majority(df: pd.DataFrame) -> pd.DataFrame:
         d = df.sort_values(["component", "n", "label"],
@@ -3644,10 +3585,6 @@ def q_needle_scan(sf_dir: str):
     Needles broadcast in the closure; per-batch vectorized substring
     containment (no regex compilation, plain find) + a 5-row count
     aggregate."""
-    from ray.data.aggregate import Sum as _Sum
-
-    from pystreamfs_ray.util import arrow_combiner
-
     docs = read_parquet(_p(sf_dir, "documents"), columns=["doc_id", "text"])
     probe = (docs.filter(expr="doc_id < 5").to_pandas()
              .sort_values("doc_id"))
@@ -3659,10 +3596,7 @@ def q_needle_scan(sf_dir: str):
         return pd.DataFrame(rows, columns=["needle", "n_docs"]).astype(
             {"n_docs": np.int64})
 
-    return (docs.map_batches(arrow_combiner(partial),
-                             batch_format="pyarrow")
-            .groupby("needle").aggregate(_Sum("n_docs",
-                                              alias_name="n_docs")))
+    return combine_sum(docs, partial, "needle", ["n_docs"])
 
 
 def q_tool_loops(sf_dir: str):
@@ -3862,7 +3796,6 @@ def q_dup_rate_by_source(sf_dir: str):
     upstream dedup). One (source, md5) content-hash shuffle — text
     never moves — then a source-keyed rollup of the hash table."""
     from pystreamfs_ray.stages.dedup import _md5_hex
-    from pystreamfs_ray.util import arrow_combiner
 
     docs = read_parquet(_p(sf_dir, "documents"),
                         columns=["source", "text"])
@@ -3875,10 +3808,7 @@ def q_dup_rate_by_source(sf_dir: str):
         out["n"] = out["n"].astype(np.int64)
         return out
 
-    per_hash = (docs.map_batches(arrow_combiner(partial),
-                                 batch_format="pyarrow")
-                .groupby(["source", "fp"])
-                .aggregate(Sum("n", alias_name="n")))
+    per_hash = combine_sum(docs, partial, ["source", "fp"], ["n"])
 
     def rollup(df: pd.DataFrame) -> pd.DataFrame:
         out = pd.DataFrame({"source": df["source"].to_numpy(),
@@ -3887,11 +3817,7 @@ def q_dup_rate_by_source(sf_dir: str):
         return (out.groupby("source", sort=False, as_index=False).sum()
                 .rename(columns={"one": "n_distinct", "n": "n_docs"}))
 
-    return (per_hash.map_batches(arrow_combiner(rollup),
-                                 batch_format="pyarrow")
-            .groupby("source")
-            .aggregate(Sum("n_distinct", alias_name="n_distinct"),
-                       Sum("n_docs", alias_name="n_docs")))
+    return combine_sum(per_hash, rollup, "source", ["n_distinct", "n_docs"])
 
 
 def q_tool_entropy(sf_dir: str):
@@ -3972,8 +3898,6 @@ def q_burstiness(sf_dir: str):
     one float division happens once on exact int64 moments, identical
     to the oracle's. Shuffle: two small keyed aggregates; raw events
     never move."""
-    from pystreamfs_ray.util import arrow_combiner
-
     ev = read_parquet(_p(sf_dir, "events"), columns=["user_id", "ts"])
 
     def hours(df: pd.DataFrame) -> pd.DataFrame:
@@ -3985,10 +3909,7 @@ def q_burstiness(sf_dir: str):
         out["c"] = out["c"].astype(np.int64)
         return out
 
-    per_hour = (ev.map_batches(arrow_combiner(hours),
-                               batch_format="pyarrow")
-                .groupby(["user_id", "hr"])
-                .aggregate(Sum("c", alias_name="c")))
+    per_hour = combine_sum(ev, hours, ["user_id", "hr"], ["c"])
 
     def moments(df: pd.DataFrame) -> pd.DataFrame:
         c = df["c"].to_numpy(np.int64)
@@ -3997,12 +3918,7 @@ def q_burstiness(sf_dir: str):
                           "s": c, "q": c * c})
         return d.groupby("user_id", sort=False, as_index=False).sum()
 
-    agg = (per_hour.map_batches(arrow_combiner(moments),
-                                batch_format="pyarrow")
-           .groupby("user_id")
-           .aggregate(Sum("n_hours", alias_name="n_hours"),
-                      Sum("s", alias_name="s"),
-                      Sum("q", alias_name="q")))
+    agg = combine_sum(per_hour, moments, "user_id", ["n_hours", "s", "q"])
 
     def fano(df: pd.DataFrame) -> pd.DataFrame:
         n = df["n_hours"].to_numpy(np.int64)
@@ -4052,8 +3968,6 @@ def q_chi2_cells(sf_dir: str):
     int64 combiner partials; the float expected/contrib math runs once
     on the tiny |lang|×|source| table with the same IEEE ops as the
     oracle (no cross-cell summation, so no association-order risk)."""
-    from pystreamfs_ray.util import arrow_combiner
-
     docs = read_parquet(_p(sf_dir, "documents"),
                         columns=["lang", "source"])
 
@@ -4063,10 +3977,7 @@ def q_chi2_cells(sf_dir: str):
         out["observed"] = out["observed"].astype(np.int64)
         return out
 
-    cells = (docs.map_batches(arrow_combiner(partial),
-                              batch_format="pyarrow")
-             .groupby(["lang", "source"])
-             .aggregate(Sum("observed", alias_name="observed"))
+    cells = (combine_sum(docs, partial, ["lang", "source"], ["observed"])
              .to_pandas())
     # tiny driver-side finish: |lang| x |source| rows
     row_tot = cells.groupby("lang")["observed"].transform("sum")
@@ -4148,7 +4059,6 @@ def q_feature_cross(sf_dir: str):
     the tiny (role, tool) domain, one mergeable Sum, then a driver-side
     finish on the ≤|roles|×|tools| table. Zero data shuffles."""
     from pystreamfs_ray.stages.dedup import _md5_lower64
-    from pystreamfs_ray.util import arrow_combiner
 
     ts_ds = transcripts_from_events(sf_dir, num_buckets=_BUCKETS)
 
@@ -4158,11 +4068,7 @@ def q_feature_cross(sf_dir: str):
         out["n"] = out["n"].astype(np.int64)
         return out
 
-    pairs = (ts_ds.map_batches(arrow_combiner(partial),
-                               batch_format="pyarrow")
-             .groupby(["role", "tool"])
-             .aggregate(Sum("n", alias_name="n"))
-             .to_pandas())
+    pairs = combine_sum(ts_ds, partial, ["role", "tool"], ["n"]).to_pandas()
     key = (pairs["role"].astype(str) + "|" + pairs["tool"].astype(str))
     pairs["bucket"] = (_md5_lower64(list(key))
                        % np.uint64(64)).astype(np.int64)
@@ -4229,10 +4135,7 @@ def q_audience_overlap(sf_dir: str):
         out["n_users"] = out["n_users"].astype(np.int64)
         return out
 
-    marginals = (pairs_ds.map_batches(arrow_combiner(marg),
-                                      batch_format="pyarrow")
-                 .groupby("event_type")
-                 .aggregate(Sum("n_users", alias_name="n_users"))
+    marginals = (combine_sum(pairs_ds, marg, "event_type", ["n_users"])
                  .to_pandas().set_index("event_type")["n_users"])
     na = inter["event_type_a"].map(marginals).to_numpy(np.int64)
     nb = inter["event_type_b"].map(marginals).to_numpy(np.int64)
@@ -4296,8 +4199,6 @@ def q_embedding_diversity(sf_dir: str):
     partials flattened to (label, dim) rows → one tiny mergeable Sum →
     driver finish on the |labels|×d table. O(n·d) work for an O(n²)
     statistic; embeddings shuffle never."""
-    from pystreamfs_ray.util import arrow_combiner
-
     emb = read_parquet(_p(sf_dir, "embeddings"),
                        columns=["label", "embedding"])
 
@@ -4318,12 +4219,7 @@ def q_embedding_diversity(sf_dir: str):
             }))
         return pd.concat(frames, ignore_index=True)
 
-    agg = (emb.map_batches(arrow_combiner(partial),
-                           batch_format="pyarrow")
-           .groupby(["label", "dim"])
-           .aggregate(Sum("s", alias_name="s"),
-                      Sum("n", alias_name="n"))
-           .to_pandas())
+    agg = combine_sum(emb, partial, ["label", "dim"], ["s", "n"]).to_pandas()
     out_rows = []
     for b, g in agg.groupby("label"):
         s2 = float((g["s"].to_numpy(np.float64) ** 2).sum())
@@ -4350,7 +4246,6 @@ def q_pareto_share(sf_dir: str):
     user totals under ~$44B with user_id < 2²¹ per key block — re-shard
     the key at larger id spaces."""
     from pystreamfs_ray.stages.packing import distributed_prefix_sum
-    from pystreamfs_ray.util import arrow_combiner
 
     ev = read_parquet(_p(sf_dir, "events"), columns=["user_id", "value"])
 
@@ -4362,10 +4257,7 @@ def q_pareto_share(sf_dir: str):
         })
         return out.groupby("user_id", sort=False, as_index=False).sum()
 
-    per_user = (ev.map_batches(arrow_combiner(cents),
-                               batch_format="pyarrow")
-                .groupby("user_id")
-                .aggregate(Sum("cents", alias_name="cents")))
+    per_user = combine_sum(ev, cents, "user_id", ["cents"])
 
     def ordkey(t: pa.Table) -> pa.Table:
         c = t["cents"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -4544,8 +4436,6 @@ def q_k_anonymity(sf_dir: str):
     corpus release), plus the class count and the minimum class size.
     One combiner-count groupby over the tiny quasi-id domain; the
     threshold sweep is a driver finish on the class-size table."""
-    from pystreamfs_ray.util import arrow_combiner
-
     docs = read_parquet(_p(sf_dir, "documents"),
                         columns=["lang", "source"])
 
@@ -4555,11 +4445,7 @@ def q_k_anonymity(sf_dir: str):
         out["n"] = out["n"].astype(np.int64)
         return out
 
-    classes = (docs.map_batches(arrow_combiner(partial),
-                                batch_format="pyarrow")
-               .groupby(["lang", "source"])
-               .aggregate(Sum("n", alias_name="n"))
-               .to_pandas())
+    classes = combine_sum(docs, partial, ["lang", "source"], ["n"]).to_pandas()
     sizes = classes["n"].to_numpy(np.int64)
     rows = [{
         "k": np.int64(k),
@@ -4581,7 +4467,6 @@ def q_shard_plan(sf_dir: str):
     — then a |shards|-bounded count/sum reduce. Oracle: running-sum
     window // target."""
     from pystreamfs_ray.stages.packing import distributed_prefix_sum
-    from pystreamfs_ray.util import arrow_combiner
 
     target = 4096
     docs = read_parquet(_p(sf_dir, "documents"),
@@ -4600,10 +4485,7 @@ def q_shard_plan(sf_dir: str):
         g["n_docs"] = g["n_docs"].astype(np.int64)
         return g
 
-    return (pre.map_batches(arrow_combiner(partial), batch_format="pyarrow")
-            .groupby("shard")
-            .aggregate(Sum("n_docs", alias_name="n_docs"),
-                       Sum("total_chars", alias_name="total_chars")))
+    return combine_sum(pre, partial, "shard", ["n_docs", "total_chars"])
 
 
 def q_l_diversity(sf_dir: str):
@@ -4616,8 +4498,6 @@ def q_l_diversity(sf_dir: str):
     and the minimum diversity. One combiner pass over the bounded
     (lang, source, bucket) cell domain; the threshold sweep is a
     driver finish on the cell table."""
-    from pystreamfs_ray.util import arrow_combiner
-
     docs = read_parquet(_p(sf_dir, "documents"),
                         columns=["lang", "source", "n_chars"])
 
@@ -4628,10 +4508,7 @@ def q_l_diversity(sf_dir: str):
         out["n"] = out["n"].astype(np.int64)
         return out
 
-    cells = (docs.map_batches(arrow_combiner(partial),
-                              batch_format="pyarrow")
-             .groupby(["lang", "source", "sb"])
-             .aggregate(Sum("n", alias_name="n"))
+    cells = (combine_sum(docs, partial, ["lang", "source", "sb"], ["n"])
              .to_pandas())
     cls = (cells.groupby(["lang", "source"])
            .agg(l=("sb", "size"), n=("n", "sum")))
@@ -4659,7 +4536,7 @@ def q_t_closeness(sf_dir: str):
     — no float anywhere. Shape: the same bounded
     (lang, source, bucket) combiner cell table as q_l_diversity; the
     per-class finish is |classes|×B driver work."""
-    from pystreamfs_ray.util import arrow_combiner, ensure_cols
+    from pystreamfs_ray.util import ensure_cols
 
     docs = read_parquet(_p(sf_dir, "documents"),
                         columns=["lang", "source", "n_chars"])
@@ -4671,10 +4548,7 @@ def q_t_closeness(sf_dir: str):
         out["n"] = out["n"].astype(np.int64)
         return out
 
-    cells = (docs.map_batches(arrow_combiner(partial),
-                              batch_format="pyarrow")
-             .groupby(["lang", "source", "sb"])
-             .aggregate(Sum("n", alias_name="n"))
+    cells = (combine_sum(docs, partial, ["lang", "source", "sb"], ["n"])
              .to_pandas())
     cells = ensure_cols(cells, {"lang": object, "source": object,
                                 "sb": np.int64, "n": np.int64})
@@ -4707,8 +4581,6 @@ def q_xcorr_daily(sf_dir: str):
     (missing days zero-filled on both engines); the 4 Pearson
     coefficients are a driver finish over the days-long series.
     Oracle: generate_series calendar + DuckDB ``corr()``."""
-    from pystreamfs_ray.util import arrow_combiner
-
     ev = read_parquet(_p(sf_dir, "events"), columns=["ts", "event_type"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -4720,12 +4592,7 @@ def q_xcorr_daily(sf_dir: str):
         return (out.groupby("day", sort=False, as_index=False)
                 [["x", "y"]].sum())
 
-    daily = (ev.map_batches(arrow_combiner(partial),
-                            batch_format="pyarrow")
-             .groupby("day")
-             .aggregate(Sum("x", alias_name="x"),
-                        Sum("y", alias_name="y"))
-             .to_pandas())
+    daily = combine_sum(ev, partial, "day", ["x", "y"]).to_pandas()
     daily["day"] = daily["day"].to_numpy("datetime64[D]")
     daily = daily.sort_values("day", ignore_index=True)
     d0, d1 = daily["day"].iloc[0], daily["day"].iloc[-1]
@@ -4759,7 +4626,6 @@ def q_gini(sf_dir: str):
     needs n·max_cents < 2⁶³ — switch the moment to float128/HUGEINT
     partials beyond ~10⁹ users × $10⁷ cents."""
     from pystreamfs_ray.stages.packing import distributed_prefix_sum
-    from pystreamfs_ray.util import arrow_combiner
 
     ev = read_parquet(_p(sf_dir, "events"), columns=["user_id", "value"])
 
@@ -4771,10 +4637,7 @@ def q_gini(sf_dir: str):
         })
         return out.groupby("user_id", sort=False, as_index=False).sum()
 
-    per_user = (ev.map_batches(arrow_combiner(cents),
-                               batch_format="pyarrow")
-                .groupby("user_id")
-                .aggregate(Sum("cents", alias_name="cents")))
+    per_user = combine_sum(ev, cents, "user_id", ["cents"])
 
     def ordkey(t: pa.Table) -> pa.Table:
         c = t["cents"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -4818,8 +4681,6 @@ def q_window_heavy(sf_dir: str):
     groups (each day's count table is user-bounded). 100-TB path: the
     capacity-bounded candidate pass of `sketch.heavy_hitters` slots in
     per window before the exact recount, same as the global query."""
-    from pystreamfs_ray.util import arrow_combiner
-
     ev = read_parquet(_p(sf_dir, "events"), columns=["user_id", "ts"])
 
     def counts(df: pd.DataFrame) -> pd.DataFrame:
@@ -4831,10 +4692,7 @@ def q_window_heavy(sf_dir: str):
         out["n"] = out["n"].astype(np.int64)
         return out
 
-    per_day = (ev.map_batches(arrow_combiner(counts),
-                              batch_format="pyarrow")
-               .groupby(["day", "user_id"])
-               .aggregate(Sum("n", alias_name="n")))
+    per_day = combine_sum(ev, counts, ["day", "user_id"], ["n"])
 
     def topk(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["n", "user_id"], ascending=[False, True],
@@ -4984,11 +4842,8 @@ def q_dedup_savings(sf_dir: str):
         })
         return out.groupby("source", sort=False, as_index=False).sum()
 
-    agg = (per_fp.map_batches(arrow_combiner(rollup),
-                              batch_format="pyarrow")
-           .groupby("source")
-           .aggregate(Sum("total_tokens", alias_name="total_tokens"),
-                      Sum("saved_tokens", alias_name="saved_tokens"))
+    agg = (combine_sum(per_fp, rollup, "source",
+                       ["total_tokens", "saved_tokens"])
            .to_pandas())
     agg["total_tokens"] = agg["total_tokens"].astype(np.int64)
     agg["saved_tokens"] = agg["saved_tokens"].astype(np.int64)
@@ -5057,12 +4912,10 @@ def q_churn_dataset(sf_dir: str):
     the post-cutoff presence bit together, so no row is read twice and
     nothing can leak: the feature arrays are masked to ts < cutoff by
     construction. Cold-start users (no pre-cutoff events) are excluded."""
-    from ray.data.aggregate import Max as _Max
-
     ev = read_parquet(_p(sf_dir, "events"),
                       columns=["user_id", "ts", "value"])
     max_us = int(pd.Timestamp(
-        ev.aggregate(_Max("ts", alias_name="m"))["m"]).value // 1000)
+        ev.aggregate(Max("ts", alias_name="m"))["m"]).value // 1000)
     cutoff_us = max_us - 7 * 86_400_000_000
 
     def part(g: pd.DataFrame) -> pd.DataFrame:
@@ -5148,12 +5001,10 @@ def q_multi_horizon(sf_dir: str):
     computes every horizon from the same masked arrays (no row is read
     twice, no window leaks past the cutoff by construction). Users with
     no event in the 30-day window are dropped."""
-    from ray.data.aggregate import Max as _Max
-
     ev = read_parquet(_p(sf_dir, "events"),
                       columns=["user_id", "ts", "event_type", "value"])
     cutoff_us = int(pd.Timestamp(
-        ev.aggregate(_Max("ts", alias_name="m"))["m"]).value // 1000)
+        ev.aggregate(Max("ts", alias_name="m"))["m"]).value // 1000)
     day_us = 86_400_000_000
 
     def part(g: pd.DataFrame) -> pd.DataFrame:
@@ -5210,8 +5061,6 @@ def q_event_transitions(sf_dir: str):
     row-conditional probability is one mirrored float division over
     exact int64 counts. Shuffle: one user-bucket exchange + one
     bounded pair reduce."""
-    from ray.data.aggregate import Sum as _Sum
-
     ev = read_parquet(_p(sf_dir, "events"),
                       columns=["event_id", "user_id", "ts", "event_type"])
 
@@ -5231,7 +5080,7 @@ def q_event_transitions(sf_dir: str):
     agg = (W.per_bucket(ev, part, entity_col="user_id",
                         num_buckets=_BUCKETS)
            .groupby(["prev_type", "event_type"])
-           .aggregate(_Sum("n_trans", alias_name="n_trans"))
+           .aggregate(Sum("n_trans", alias_name="n_trans"))
            .to_pandas())  # |types|²-bounded
     n = agg["n_trans"].to_numpy(np.int64)
     tot = (agg.groupby("prev_type")["n_trans"].transform("sum")
@@ -5248,10 +5097,6 @@ def q_target_encode_m(sf_dir: str):
     partials combine per batch, so the exchange is |types|-bounded;
     the prior and the encoding are each ONE float expression written
     in the oracle's operation order over exact int64 moments."""
-    from ray.data.aggregate import Sum as _Sum
-
-    from pystreamfs_ray.util import arrow_combiner
-
     ev = read_parquet(_p(sf_dir, "events"),
                       columns=["event_type", "value"])
 
@@ -5264,10 +5109,7 @@ def q_target_encode_m(sf_dir: str):
         })
         return d.groupby("event_type", sort=False, as_index=False).sum()
 
-    agg = (ev.map_batches(arrow_combiner(partial), batch_format="pyarrow")
-           .groupby("event_type")
-           .aggregate(_Sum("sc", alias_name="sc"),
-                      _Sum("n_events", alias_name="n_events"))
+    agg = (combine_sum(ev, partial, "event_type", ["sc", "n_events"])
            .to_pandas())  # |types|-bounded
     gs = int(agg["sc"].sum())
     gn = int(agg["n_events"].sum())
@@ -5289,8 +5131,6 @@ def q_ab_lift(sf_dir: str):
     partials combine per batch so the exchange is |types|-bounded;
     rate/lift/z are float expressions written in the oracle's
     operation order over exact counts."""
-    from pystreamfs_ray.util import arrow_combiner
-
     ev = read_parquet(_p(sf_dir, "events"),
                       columns=["event_type", "value"])
 
@@ -5304,10 +5144,7 @@ def q_ab_lift(sf_dir: str):
         })
         return d.groupby("event_type", sort=False, as_index=False).sum()
 
-    agg = (ev.map_batches(arrow_combiner(partial), batch_format="pyarrow")
-           .groupby("event_type")
-           .aggregate(Sum("n", alias_name="n"),
-                      Sum("n_succ", alias_name="n_succ"))
+    agg = (combine_sum(ev, partial, "event_type", ["n", "n_succ"])
            .to_pandas())  # |types|-bounded
     n = agg["n"].to_numpy(np.int64).astype(np.float64)
     s = agg["n_succ"].to_numpy(np.int64).astype(np.float64)
@@ -5338,11 +5175,9 @@ def q_survival(sf_dir: str):
     Max fixes the censoring horizon; one user-bucket pass co-locates
     each user's history so the bucket emits day-level tallies and the
     global exchange is day-bounded."""
-    from ray.data.aggregate import Max as _Max
-
     ev = read_parquet(_p(sf_dir, "events"), columns=["user_id", "ts"])
     max_us = int(pd.Timestamp(
-        ev.aggregate(_Max("ts", alias_name="m"))["m"]).value // 1000)
+        ev.aggregate(Max("ts", alias_name="m"))["m"]).value // 1000)
     horizon_us = max_us - 30 * 86_400_000_000
 
     def part(g: pd.DataFrame) -> pd.DataFrame:
@@ -5385,15 +5220,13 @@ def q_rfm(sf_dir: str):
     table (materialized once, |users| rows); three two-phase
     range-partition NTILEs rank it without a global sort; two keyed
     hash joins assemble the final grid."""
-    from ray.data.aggregate import Max as _Max
-
     from pystreamfs_ray.stages.rank import global_ntile
     from pystreamfs_ray.util import drop_empty_blocks
 
     ev = read_parquet(_p(sf_dir, "events"),
                       columns=["user_id", "ts", "value"])
     max_us = int(pd.Timestamp(
-        ev.aggregate(_Max("ts", alias_name="m"))["m"]).value // 1000)
+        ev.aggregate(Max("ts", alias_name="m"))["m"]).value // 1000)
 
     def part(g: pd.DataFrame) -> pd.DataFrame:
         t = g["ts"].astype("int64").to_numpy()
@@ -5442,8 +5275,6 @@ def q_benford(sf_dir: str):
     and deviation from log10(1+1/d) as float expressions in the
     oracle's operation order. The digit is extracted via the decimal
     string on BOTH engines so there is no float-log edge case."""
-    from pystreamfs_ray.util import arrow_combiner
-
     ev = read_parquet(_p(sf_dir, "events"), columns=["value"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -5455,10 +5286,7 @@ def q_benford(sf_dir: str):
                           "n": np.ones(len(first), dtype=np.int64)})
         return d.groupby("digit", sort=False, as_index=False).sum()
 
-    agg = (ev.map_batches(arrow_combiner(partial), batch_format="pyarrow")
-           .groupby("digit")
-           .aggregate(Sum("n", alias_name="n"))
-           .to_pandas())  # ≤9 rows
+    agg = combine_sum(ev, partial, "digit", ["n"]).to_pandas()  # ≤9 rows
     total = float(int(agg["n"].sum()))
     n = agg["n"].to_numpy(np.int64).astype(np.float64)
     d = agg["digit"].to_numpy(np.int64).astype(np.float64)
@@ -5480,8 +5308,6 @@ def q_dow_profile(sf_dir: str):
     |types|×7-bounded; the within-type share is one mirrored float
     division. dow is 0=Sunday, computed from epoch days on the
     engine and dayofweek(ts) in the oracle."""
-    from pystreamfs_ray.util import arrow_combiner
-
     ev = read_parquet(_p(sf_dir, "events"), columns=["event_type", "ts"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -5494,9 +5320,7 @@ def q_dow_profile(sf_dir: str):
         return d.groupby(["event_type", "dow"], sort=False,
                          as_index=False).sum()
 
-    agg = (ev.map_batches(arrow_combiner(partial), batch_format="pyarrow")
-           .groupby(["event_type", "dow"])
-           .aggregate(Sum("n", alias_name="n"))
+    agg = (combine_sum(ev, partial, ["event_type", "dow"], ["n"])
            .to_pandas())  # |types|×7-bounded
     tot = (agg.groupby("event_type")["n"].transform("sum")
            .to_numpy(np.int64))
@@ -5517,8 +5341,6 @@ def q_prefix_cache(sf_dir: str):
     exchange is |distinct shared prefixes|-bounded. Tokenization
     mirrors regexp_split_to_array(text, '\\s+') exactly (a leading
     empty token survives) so the oracle splits identically."""
-    from pystreamfs_ray.util import arrow_combiner
-
     t = transcripts_from_events(sf_dir, num_buckets=_BUCKETS)
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -5529,9 +5351,7 @@ def q_prefix_cache(sf_dir: str):
                           "n_convs": np.ones(len(df), dtype=np.int64)})
         return d.groupby("prefix", sort=False, as_index=False).sum()
 
-    agg = (t.map_batches(arrow_combiner(partial), batch_format="pyarrow")
-           .groupby("prefix")
-           .aggregate(Sum("n_convs", alias_name="n_convs")))
+    agg = combine_sum(t, partial, "prefix", ["n_convs"])
     return agg.filter(expr="n_convs >= 2")
 
 
@@ -5586,7 +5406,6 @@ def q_group_kfold(sf_dir: str):
     exchange, then a 5-row fold report with the event share as one
     mirrored division."""
     from pystreamfs_ray.stages.dedup import _md5_lower64
-    from pystreamfs_ray.util import arrow_combiner
 
     ev = read_parquet(_p(sf_dir, "events"), columns=["user_id"])
 
@@ -5595,10 +5414,7 @@ def q_group_kfold(sf_dir: str):
                           "n": np.ones(len(df), dtype=np.int64)})
         return d.groupby("user_id", sort=False, as_index=False).sum()
 
-    per_user = (ev.map_batches(arrow_combiner(partial),
-                               batch_format="pyarrow")
-                .groupby("user_id")
-                .aggregate(Sum("n", alias_name="n")))
+    per_user = combine_sum(ev, partial, "user_id", ["n"])
 
     def to_fold(df: pd.DataFrame) -> pd.DataFrame:
         fold = (_md5_lower64([str(v) for v in df["user_id"]])
@@ -5608,11 +5424,7 @@ def q_group_kfold(sf_dir: str):
                           "n_events": df["n"].to_numpy(np.int64)})
         return d.groupby("fold", sort=False, as_index=False).sum()
 
-    agg = (per_user.map_batches(arrow_combiner(to_fold),
-                                batch_format="pyarrow")
-           .groupby("fold")
-           .aggregate(Sum("n_users", alias_name="n_users"),
-                      Sum("n_events", alias_name="n_events"))
+    agg = (combine_sum(per_user, to_fold, "fold", ["n_users", "n_events"])
            .to_pandas())  # 5 rows
     tot = float(int(agg["n_events"].sum()))
     agg["fold"] = agg["fold"].astype(np.int64)
@@ -5631,8 +5443,6 @@ def q_time_split(sf_dir: str):
     combine per batch so the exchange is day-bounded; the cutoff and
     the per-split report are exact-integer driver math on that
     bounded table."""
-    from pystreamfs_ray.util import arrow_combiner
-
     ev = read_parquet(_p(sf_dir, "events"), columns=["ts"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -5641,9 +5451,7 @@ def q_time_split(sf_dir: str):
                           "n": np.ones(len(df), dtype=np.int64)})
         return d.groupby("day", sort=False, as_index=False).sum()
 
-    tbl = (ev.map_batches(arrow_combiner(partial), batch_format="pyarrow")
-           .groupby("day")
-           .aggregate(Sum("n", alias_name="n"))
+    tbl = (combine_sum(ev, partial, "day", ["n"])
            .to_pandas()
            .sort_values("day", ignore_index=True))  # day-bounded
     n = tbl["n"].to_numpy(np.int64)
@@ -5674,7 +5482,6 @@ def q_dup_cluster_hist(sf_dir: str):
     exact dups, so probes plant them: docs 0-9 gain one extra copy
     (even ids) or two (odd ids) → sizes 2 and 3 by construction."""
     from pystreamfs_ray.stages.dedup import _md5_lower64
-    from pystreamfs_ray.util import arrow_combiner
 
     docs = read_parquet(_p(sf_dir, "documents"),
                         columns=["doc_id", "text"])
@@ -5695,10 +5502,7 @@ def q_dup_cluster_hist(sf_dir: str):
         d = pd.DataFrame({"h": h, "n": np.ones(len(df), dtype=np.int64)})
         return d.groupby("h", sort=False, as_index=False).sum()
 
-    sizes = (docs.map_batches(arrow_combiner(partial),
-                              batch_format="pyarrow")
-             .groupby("h")
-             .aggregate(Sum("n", alias_name="n")))
+    sizes = combine_sum(docs, partial, "h", ["n"])
 
     def hist(df: pd.DataFrame) -> pd.DataFrame:
         d = df[df["n"] >= 2]
@@ -5707,9 +5511,7 @@ def q_dup_cluster_hist(sf_dir: str):
                .groupby("group_size", sort=False, as_index=False).sum())
         return out
 
-    agg = (sizes.map_batches(arrow_combiner(hist), batch_format="pyarrow")
-           .groupby("group_size")
-           .aggregate(Sum("n_groups", alias_name="n_groups"))
+    agg = (combine_sum(sizes, hist, "group_size", ["n_groups"])
            .to_pandas())  # |distinct sizes|-bounded
     agg["group_size"] = agg["group_size"].astype(np.int64)
     agg["n_groups"] = agg["n_groups"].astype(np.int64)
@@ -5842,8 +5644,6 @@ def q_cube_counts(sf_dir: str):
     q_rollup_revenue's ROLLUP). The fine grain is one |types|×7
     combiner exchange; every coarser level derives from that bounded
     frame on the driver, so CUBE costs nothing extra at any scale."""
-    from pystreamfs_ray.util import arrow_combiner
-
     ev = read_parquet(_p(sf_dir, "events"), columns=["event_type", "ts"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -5856,9 +5656,7 @@ def q_cube_counts(sf_dir: str):
         return d.groupby(["event_type", "dow"], sort=False,
                          as_index=False).sum()
 
-    base = (ev.map_batches(arrow_combiner(partial), batch_format="pyarrow")
-            .groupby(["event_type", "dow"])
-            .aggregate(Sum("n", alias_name="n"))
+    base = (combine_sum(ev, partial, ["event_type", "dow"], ["n"])
             .to_pandas())  # |types|×7-bounded
     base["dow"] = base["dow"].astype(np.int64).astype(str)
     base["n"] = base["n"].astype(np.int64)
@@ -5884,8 +5682,6 @@ def q_woe_encode(sf_dir: str):
     the exchange is |types|-bounded; woe/iv are per-row float
     expressions over exact counts (0.5 Laplace smoothing, no float
     sums anywhere), written in the oracle's operation order."""
-    from pystreamfs_ray.util import arrow_combiner
-
     ev = read_parquet(_p(sf_dir, "events"),
                       columns=["event_type", "value"])
 
@@ -5900,10 +5696,7 @@ def q_woe_encode(sf_dir: str):
         })
         return d.groupby("event_type", sort=False, as_index=False).sum()
 
-    agg = (ev.map_batches(arrow_combiner(partial), batch_format="pyarrow")
-           .groupby("event_type")
-           .aggregate(Sum("n_pos", alias_name="n_pos"),
-                      Sum("n_neg", alias_name="n_neg"))
+    agg = (combine_sum(ev, partial, "event_type", ["n_pos", "n_neg"])
            .to_pandas())  # |types|-bounded
     tp = float(int(agg["n_pos"].sum()))
     tn = float(int(agg["n_neg"].sum()))
@@ -5931,8 +5724,6 @@ def q_mi_features(sf_dir: str):
     float terms summed over a canonically sorted, bounded cell table
     (Σ of ≤ 2·|levels| doubles — rounding to 6 digits absorbs
     order-of-summation ulps)."""
-    from pystreamfs_ray.util import arrow_combiner
-
     ev = read_parquet(_p(sf_dir, "events"),
                       columns=["event_type", "ts", "value"])
 
@@ -5958,9 +5749,7 @@ def q_mi_features(sf_dir: str):
         return d.groupby(["feature", "level", "y"], sort=False,
                          as_index=False).sum()
 
-    cells = (ev.map_batches(arrow_combiner(partial), batch_format="pyarrow")
-             .groupby(["feature", "level", "y"])
-             .aggregate(Sum("c", alias_name="c"))
+    cells = (combine_sum(ev, partial, ["feature", "level", "y"], ["c"])
              .to_pandas())  # Σ|levels|×2-bounded
     out = []
     for feat, g in cells.groupby("feature", sort=True):
@@ -6021,10 +5810,7 @@ def q_target_encode_cv(sf_dir: str):
     and m-estimate encoders). Pass 1 is a |types|×5-bounded (count,
     cent-sum) combiner; the finish broadcasts the tiny fold table into
     a stateless vectorized map, so nothing data-sized ever shuffles."""
-    from ray.data.aggregate import Sum as _Sum
-
     from pystreamfs_ray.stages.dedup import _md5_lower64
-    from pystreamfs_ray.util import arrow_combiner
 
     ev = read_parquet(_p(sf_dir, "events"),
                       columns=["event_id", "event_type", "value"])
@@ -6042,10 +5828,7 @@ def q_target_encode_cv(sf_dir: str):
         return d.groupby(["event_type", "fold"], sort=False,
                          as_index=False).sum()
 
-    folds = (ev.map_batches(arrow_combiner(partial), batch_format="pyarrow")
-             .groupby(["event_type", "fold"])
-             .aggregate(_Sum("n", alias_name="n"),
-                        _Sum("sc", alias_name="sc"))
+    folds = (combine_sum(ev, partial, ["event_type", "fold"], ["n", "sc"])
              .to_pandas())  # |types|×5-bounded
     tot = folds.groupby("event_type", as_index=False).agg(
         tn=("n", "sum"), tsc=("sc", "sum"))
@@ -6124,7 +5907,7 @@ def q_freq_encode(sf_dir: str):
     (|types| rows) + broadcast batch-local merge; the one float is a
     single division of two exact int64 counts, identical in the
     oracle. Shuffle: the |types|-row count aggregate only."""
-    from pystreamfs_ray.util import arrow_combiner, ensure_cols
+    from pystreamfs_ray.util import ensure_cols
 
     ev = read_parquet(_p(sf_dir, "events"),
                       columns=["event_id", "event_type"])
@@ -6134,11 +5917,7 @@ def q_freq_encode(sf_dir: str):
         return pd.DataFrame({"event_type": g.index,
                              "c": g.to_numpy(np.int64)})
 
-    stats = (ev.map_batches(arrow_combiner(partial),
-                            batch_format="pyarrow")
-             .groupby("event_type")
-             .aggregate(Sum("c", alias_name="c"))
-             .to_pandas())
+    stats = combine_sum(ev, partial, "event_type", ["c"]).to_pandas()
     stats = ensure_cols(stats, {"event_type": object, "c": np.int64})
     total = int(stats["c"].sum())
     ref = ray.put((stats["event_type"].to_numpy(),
@@ -6204,20 +5983,16 @@ def q_class_weights(sf_dir: str):
     reweighting on imbalanced data. One |labels|-row count combiner;
     the weight is one float expression over three exact int64 counts
     in the oracle's operation order."""
-    from pystreamfs_ray.util import arrow_combiner, ensure_cols
+    from pystreamfs_ray.util import ensure_cols
 
     emb = read_parquet(_p(sf_dir, "embeddings"), columns=["label"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("label", sort=False).size().rename("c")
+        g = df.groupby("label", sort=False).size()
         return pd.DataFrame({"label": g.index.to_numpy(np.int64),
-                             "c": g.to_numpy(np.int64)})
+                             "n_label": g.to_numpy(np.int64)})
 
-    stats = (emb.map_batches(arrow_combiner(partial),
-                             batch_format="pyarrow")
-             .groupby("label")
-             .aggregate(Sum("c", alias_name="n_label"))
-             .to_pandas())
+    stats = combine_sum(emb, partial, "label", ["n_label"]).to_pandas()
     stats = ensure_cols(stats, {"label": np.int64, "n_label": np.int64})
     n = float(int(stats["n_label"].sum()))
     k = float(len(stats))
@@ -6237,7 +6012,7 @@ def q_ordinal_encode(sf_dir: str):
     of exact int64 cent sums (bit-identical to the oracle); the rank
     table is |types| rows on the driver, broadcast into a batch-local
     map. Shuffle: the |types|-row stats aggregate only."""
-    from pystreamfs_ray.util import arrow_combiner, ensure_cols
+    from pystreamfs_ray.util import ensure_cols
 
     ev = read_parquet(_p(sf_dir, "events"),
                       columns=["event_id", "event_type", "value"])
@@ -6251,12 +6026,7 @@ def q_ordinal_encode(sf_dir: str):
              .groupby("event_type", sort=False, as_index=False).sum())
         return g
 
-    stats = (ev.map_batches(arrow_combiner(partial),
-                            batch_format="pyarrow")
-             .groupby("event_type")
-             .aggregate(Sum("n", alias_name="n"),
-                        Sum("s1", alias_name="s1"))
-             .to_pandas())
+    stats = combine_sum(ev, partial, "event_type", ["n", "s1"]).to_pandas()
     stats = ensure_cols(stats, {"event_type": object, "n": np.int64,
                                 "s1": np.int64})
     mean = (stats["s1"].to_numpy(np.int64).astype(np.float64)
@@ -6288,7 +6058,7 @@ def q_anova_f(sf_dir: str):
     <1-per-group float residue, so summation order can only perturb
     the result below the double's ulp. The final float chain mirrors
     the oracle op-for-op. Shuffle: the |types|-row stats aggregate."""
-    from pystreamfs_ray.util import arrow_combiner, ensure_cols
+    from pystreamfs_ray.util import ensure_cols
 
     ev = read_parquet(_p(sf_dir, "events"),
                       columns=["event_type", "value"])
@@ -6302,12 +6072,7 @@ def q_anova_f(sf_dir: str):
              .groupby("event_type", sort=False, as_index=False).sum())
         return g
 
-    stats = (ev.map_batches(arrow_combiner(partial),
-                            batch_format="pyarrow")
-             .groupby("event_type")
-             .aggregate(Sum("n_g", alias_name="n_g"),
-                        Sum("s1_g", alias_name="s1_g"),
-                        Sum("s2_g", alias_name="s2_g"))
+    stats = (combine_sum(ev, partial, "event_type", ["n_g", "s1_g", "s2_g"])
              .to_pandas())
     stats = ensure_cols(stats, {"event_type": object, "n_g": np.int64,
                                 "s1_g": np.int64, "s2_g": np.int64})
@@ -6342,7 +6107,7 @@ def q_cramers_v(sf_dir: str):
     q_anova_f (chi² = Σ (o·n − rt·ct)² / (n·rt·ct); the integer
     quotient is exact, the float residue is <1 per cell), so the
     one-row output is order-independent to below the double's ulp."""
-    from pystreamfs_ray.util import arrow_combiner, ensure_cols
+    from pystreamfs_ray.util import ensure_cols
 
     docs = read_parquet(_p(sf_dir, "documents"),
                         columns=["lang", "source"])
@@ -6353,10 +6118,7 @@ def q_cramers_v(sf_dir: str):
         out["observed"] = out["observed"].astype(np.int64)
         return out
 
-    cells = (docs.map_batches(arrow_combiner(partial),
-                              batch_format="pyarrow")
-             .groupby(["lang", "source"])
-             .aggregate(Sum("observed", alias_name="observed"))
+    cells = (combine_sum(docs, partial, ["lang", "source"], ["observed"])
              .to_pandas())
     cells = ensure_cols(cells, {"lang": object, "source": object,
                                 "observed": np.int64})
@@ -6426,11 +6188,7 @@ def q_equal_width_bins(sf_dir: str):
         return pd.DataFrame({"bin": g.index.to_numpy(np.int64),
                              "n": g.to_numpy(np.int64)})
 
-    counts = (ev.map_batches(arrow_combiner(binned),
-                             batch_format="pyarrow")
-              .groupby("bin")
-              .aggregate(Sum("n", alias_name="n"))
-              .to_pandas())
+    counts = combine_sum(ev, binned, "bin", ["n"]).to_pandas()
     counts = ensure_cols(counts, {"bin": np.int64, "n": np.int64})
     b = counts["bin"].to_numpy(np.int64)
     # integer cent edges: first/last cent whose bin index is b
@@ -6453,7 +6211,7 @@ def q_calibration(sf_dir: str):
     rate is one float division of two exact int64 counts. Shuffles:
     the one ntile range partition + a 10-row count aggregate."""
     from pystreamfs_ray.stages.rank import global_ntile
-    from pystreamfs_ray.util import arrow_combiner, ensure_cols
+    from pystreamfs_ray.util import ensure_cols
 
     ev = read_parquet(_p(sf_dir, "events"),
                       columns=["event_id", "event_type", "value"])
@@ -6468,12 +6226,7 @@ def q_calibration(sf_dir: str):
              .groupby("decile", sort=False, as_index=False).sum())
         return g
 
-    out = (tiled.map_batches(arrow_combiner(partial),
-                             batch_format="pyarrow")
-           .groupby("decile")
-           .aggregate(Sum("n", alias_name="n"),
-                      Sum("purchases", alias_name="purchases"))
-           .to_pandas())
+    out = combine_sum(tiled, partial, "decile", ["n", "purchases"]).to_pandas()
     out = ensure_cols(out, {"decile": np.int64, "n": np.int64,
                             "purchases": np.int64})
     out["rate"] = (out["purchases"].to_numpy(np.int64).astype(np.float64)
@@ -6524,7 +6277,7 @@ def q_feature_ttest(sf_dir: str):
     mirrored op-for-op by the oracle (no cross-group float sums — two
     groups, every term exact until the final chain)."""
     from pystreamfs_ray.sources import split_labels
-    from pystreamfs_ray.util import arrow_combiner, ensure_cols
+    from pystreamfs_ray.util import ensure_cols
 
     ev = read_parquet(_p(sf_dir, "events"),
                       columns=["event_id", "value"])
@@ -6539,13 +6292,7 @@ def q_feature_ttest(sf_dir: str):
              .groupby("split", sort=False, as_index=False).sum())
         return g
 
-    stats = (ev.map_batches(arrow_combiner(partial),
-                            batch_format="pyarrow")
-             .groupby("split")
-             .aggregate(Sum("n", alias_name="n"),
-                        Sum("s1", alias_name="s1"),
-                        Sum("s2", alias_name="s2"))
-             .to_pandas())
+    stats = combine_sum(ev, partial, "split", ["n", "s1", "s2"]).to_pandas()
     stats = ensure_cols(stats, {"split": object, "n": np.int64,
                                 "s1": np.int64, "s2": np.int64})
     row = {r["split"]: (int(r["n"]), int(r["s1"]), int(r["s2"]))
@@ -6618,7 +6365,7 @@ def q_rare_categories(sf_dir: str):
     EXACT integer arithmetic (total·5 // 1000), the per-user counts are
     one combiner aggregate, and the keep-set broadcasts into a
     batch-local relabel. Shuffle: the |users|-row count aggregate."""
-    from pystreamfs_ray.util import arrow_combiner, ensure_cols
+    from pystreamfs_ray.util import ensure_cols
 
     ev = read_parquet(_p(sf_dir, "events"),
                       columns=["event_id", "user_id"])
@@ -6628,11 +6375,7 @@ def q_rare_categories(sf_dir: str):
         return pd.DataFrame({"user_id": g.index.to_numpy(np.int64),
                              "c": g.to_numpy(np.int64)})
 
-    counts = (ev.map_batches(arrow_combiner(partial),
-                             batch_format="pyarrow")
-              .groupby("user_id")
-              .aggregate(Sum("c", alias_name="c"))
-              .to_pandas())
+    counts = combine_sum(ev, partial, "user_id", ["c"]).to_pandas()
     counts = ensure_cols(counts, {"user_id": np.int64, "c": np.int64})
     total = int(counts["c"].sum())
     cutoff = total * 5 // 1000
@@ -6659,7 +6402,7 @@ def q_standard_scale(sf_dir: str):
     numeric feature normalization. One combiner aggregate for (n, Σc,
     Σc²), broadcast scalars, batch-local vectorized z; every float op
     mirrors the oracle. Shuffle: a 1-row aggregate."""
-    from pystreamfs_ray.util import arrow_combiner, ensure_cols
+    from pystreamfs_ray.util import ensure_cols
 
     ev = read_parquet(_p(sf_dir, "events"),
                       columns=["event_id", "value"])
@@ -6671,13 +6414,7 @@ def q_standard_scale(sf_dir: str):
                              "n": [np.int64(len(df))],
                              "s1": [c.sum()], "s2": [(c * c).sum()]})
 
-    stats = (ev.map_batches(arrow_combiner(partial),
-                            batch_format="pyarrow")
-             .groupby("k")
-             .aggregate(Sum("n", alias_name="n"),
-                        Sum("s1", alias_name="s1"),
-                        Sum("s2", alias_name="s2"))
-             .to_pandas())
+    stats = combine_sum(ev, partial, "k", ["n", "s1", "s2"]).to_pandas()
     stats = ensure_cols(stats, {"k": np.int64, "n": np.int64,
                                 "s1": np.int64, "s2": np.int64})
     n = int(stats["n"].iloc[0])
@@ -6707,8 +6444,6 @@ def q_user_type_profile(sf_dir: str):
     two exact int64 counts computed inside a per-user map_groups over
     the ALREADY-AGGREGATED |users|×|types| table (bounded by |types|
     rows per group — never raw events, never a driver-side total)."""
-    from pystreamfs_ray.util import arrow_combiner
-
     ev = read_parquet(_p(sf_dir, "events"),
                       columns=["user_id", "event_type"])
 
@@ -6718,10 +6453,7 @@ def q_user_type_profile(sf_dir: str):
         g["c"] = g["c"].astype(np.int64)
         return g
 
-    agg = (ev.map_batches(arrow_combiner(partial),
-                          batch_format="pyarrow")
-           .groupby(["user_id", "event_type"])
-           .aggregate(Sum("c", alias_name="c")))
+    agg = combine_sum(ev, partial, ["user_id", "event_type"], ["c"])
 
     def share(g: pd.DataFrame) -> pd.DataFrame:
         tot = int(g["c"].sum())
@@ -6862,7 +6594,7 @@ def q_ks_drift(sf_dir: str):
     (For unbounded/continuous features the scale path is the binned
     KS over hist_registers.)"""
     from pystreamfs_ray.sources import split_labels
-    from pystreamfs_ray.util import arrow_combiner, ensure_cols
+    from pystreamfs_ray.util import ensure_cols
 
     ev = read_parquet(_p(sf_dir, "events"),
                       columns=["event_id", "value"])
@@ -6878,11 +6610,7 @@ def q_ks_drift(sf_dir: str):
         g["c"] = g["c"].astype(np.int64)
         return g
 
-    counts = (ev.map_batches(arrow_combiner(partial),
-                             batch_format="pyarrow")
-              .groupby(["split", "v"])
-              .aggregate(Sum("c", alias_name="c"))
-              .to_pandas())
+    counts = combine_sum(ev, partial, ["split", "v"], ["c"]).to_pandas()
     counts = ensure_cols(counts, {"split": object, "v": np.int64,
                                   "c": np.int64})
     piv = (counts.pivot_table(index="v", columns="split", values="c",
@@ -6907,7 +6635,7 @@ def q_hist2d(sf_dir: str):
     behind q_dow_profile, now with the intra-day axis. One
     ≤7×24-row combiner aggregate; the mean is one division of exact
     int64 cent sums. Shuffle: the 168-row cell aggregate."""
-    from pystreamfs_ray.util import arrow_combiner, ensure_cols
+    from pystreamfs_ray.util import ensure_cols
 
     ev = read_parquet(_p(sf_dir, "events"), columns=["ts", "value"])
 
@@ -6924,12 +6652,7 @@ def q_hist2d(sf_dir: str):
              .groupby(["dow", "hour"], sort=False, as_index=False).sum())
         return g
 
-    cells = (ev.map_batches(arrow_combiner(partial),
-                            batch_format="pyarrow")
-             .groupby(["dow", "hour"])
-             .aggregate(Sum("n", alias_name="n"),
-                        Sum("s", alias_name="s"))
-             .to_pandas())
+    cells = combine_sum(ev, partial, ["dow", "hour"], ["n", "s"]).to_pandas()
     cells = ensure_cols(cells, {"dow": np.int64, "hour": np.int64,
                                 "n": np.int64, "s": np.int64})
     cells["mean_value"] = np.round(
@@ -6947,7 +6670,7 @@ def q_corr_matrix(sf_dir: str):
     numerator/denominator terms are computed as EXACT integers first
     and cross into float with one correctly-rounded cast each, in the
     oracle's op order. Shuffle: a 1-row aggregate."""
-    from pystreamfs_ray.util import arrow_combiner, ensure_cols
+    from pystreamfs_ray.util import ensure_cols
 
     ev = read_parquet(_p(sf_dir, "events"), columns=["ts", "value"])
 
@@ -6967,13 +6690,9 @@ def q_corr_matrix(sf_dir: str):
             "syz": [(h * d).sum()],
         })
 
-    agg = (ev.map_batches(arrow_combiner(partial),
-                          batch_format="pyarrow")
-           .groupby("k")
-           .aggregate(*[Sum(c, alias_name=c) for c in
-                        ("n", "sx", "sy", "sz", "sxx", "syy", "szz",
-                         "sxy", "sxz", "syz")])
-           .to_pandas())
+    agg = combine_sum(ev, partial, "k",
+                      ["n", "sx", "sy", "sz", "sxx", "syy", "szz", "sxy",
+                       "sxz", "syz"]).to_pandas()
     agg = ensure_cols(agg, {c: np.int64 for c in
                             ("k", "n", "sx", "sy", "sz", "sxx", "syy",
                              "szz", "sxy", "sxz", "syz")})
@@ -7009,7 +6728,7 @@ def q_variance_filter(sf_dir: str):
     pipeline (a near-constant feature carries nothing). All moments
     are exact int64 combiner sums; each variance is one float division
     of two exact integers. Shuffle: a 1-row aggregate."""
-    from pystreamfs_ray.util import arrow_combiner, ensure_cols
+    from pystreamfs_ray.util import ensure_cols
 
     ev = read_parquet(_p(sf_dir, "events"), columns=["ts", "value"])
 
@@ -7029,13 +6748,9 @@ def q_variance_filter(sf_dir: str):
             "sw": [w.sum()], "sww": [(w * w).sum()],
         })
 
-    agg = (ev.map_batches(arrow_combiner(partial),
-                          batch_format="pyarrow")
-           .groupby("k")
-           .aggregate(*[Sum(c, alias_name=c) for c in
-                        ("n", "sv", "svv", "sh", "shh", "sd", "sdd",
-                         "sw", "sww")])
-           .to_pandas())
+    agg = combine_sum(ev, partial, "k",
+                      ["n", "sv", "svv", "sh", "shh", "sd", "sdd", "sw",
+                       "sww"]).to_pandas()
     agg = ensure_cols(agg, {c: np.int64 for c in agg.columns})
     r = {c: int(agg[c].iloc[0]) for c in agg.columns}
     n = r["n"]
@@ -7069,7 +6784,7 @@ def q_spearman(sf_dir: str):
     Pearson on the doubled ranks IS Spearman (affine invariance), and
     the float chain mirrors the oracle op-for-op. Shuffles: two
     support-sized count aggregates + a 1-row moment aggregate."""
-    from pystreamfs_ray.util import arrow_combiner, ensure_cols
+    from pystreamfs_ray.util import ensure_cols
 
     ev = read_parquet(_p(sf_dir, "events"), columns=["ts", "value"])
 
@@ -7088,11 +6803,7 @@ def q_spearman(sf_dir: str):
             return pd.DataFrame({"x": g.index.to_numpy(np.int64),
                                  "c": g.to_numpy(np.int64)})
 
-        agg = (ev.map_batches(arrow_combiner(partial),
-                              batch_format="pyarrow")
-               .groupby("x")
-               .aggregate(Sum("c", alias_name="c"))
-               .to_pandas())
+        agg = combine_sum(ev, partial, "x", ["c"]).to_pandas()
         agg = ensure_cols(agg, {"x": np.int64, "c": np.int64})
         agg = agg.sort_values("x", ignore_index=True)
         c = agg["c"].to_numpy(np.int64)
@@ -7117,12 +6828,8 @@ def q_spearman(sf_dir: str):
             "sxy": [(x * y).sum()],
         })
 
-    agg = (ev.map_batches(arrow_combiner(moments),
-                          batch_format="pyarrow")
-           .groupby("k")
-           .aggregate(*[Sum(c, alias_name=c) for c in
-                        ("n", "sx", "sy", "sxx", "syy", "sxy")])
-           .to_pandas())
+    agg = combine_sum(ev, moments, "k",
+                      ["n", "sx", "sy", "sxx", "syy", "sxy"]).to_pandas()
     agg = ensure_cols(agg, {c: np.int64 for c in agg.columns})
     r = {c: int(agg[c].iloc[0]) for c in agg.columns}
     n = r["n"]
@@ -7143,7 +6850,7 @@ def q_psi_split(sf_dir: str):
     cent-bin + Laplace smoothing scheme as q_psi_drift; one
     2×10-cell combiner aggregate, driver finish."""
     from pystreamfs_ray.sources import split_labels
-    from pystreamfs_ray.util import arrow_combiner, ensure_cols
+    from pystreamfs_ray.util import ensure_cols
 
     ev = read_parquet(_p(sf_dir, "events"),
                       columns=["event_id", "value"])
@@ -7162,11 +6869,7 @@ def q_psi_split(sf_dir: str):
         g["cnt"] = g["cnt"].astype(np.int64)
         return g
 
-    counts = (ev.map_batches(arrow_combiner(partial),
-                             batch_format="pyarrow")
-              .groupby(["split", "bin"])
-              .aggregate(Sum("cnt", alias_name="cnt"))
-              .to_pandas())
+    counts = combine_sum(ev, partial, ["split", "bin"], ["cnt"]).to_pandas()
     counts = ensure_cols(counts, {"split": object, "bin": np.int64,
                                   "cnt": np.int64})
     piv = (counts.pivot_table(index="bin", columns="split",
@@ -7196,7 +6899,7 @@ def q_auc(sf_dir: str):
     AUC = (Σ 2·rank⁺ − n⁺(n⁺+1)) / (2·n⁺·n⁻) is ONE float division of
     two exact integers — bit-identical to the oracle. Shuffle: the
     |support|-row count aggregate."""
-    from pystreamfs_ray.util import arrow_combiner, ensure_cols
+    from pystreamfs_ray.util import ensure_cols
 
     ev = read_parquet(_p(sf_dir, "events"),
                       columns=["event_type", "value"])
@@ -7211,12 +6914,7 @@ def q_auc(sf_dir: str):
              .groupby("v", sort=False, as_index=False).sum())
         return g
 
-    counts = (ev.map_batches(arrow_combiner(partial),
-                             batch_format="pyarrow")
-              .groupby("v")
-              .aggregate(Sum("c", alias_name="c"),
-                         Sum("cp", alias_name="cp"))
-              .to_pandas())
+    counts = combine_sum(ev, partial, "v", ["c", "cp"]).to_pandas()
     counts = ensure_cols(counts, {"v": np.int64, "c": np.int64,
                                   "cp": np.int64})
     counts = counts.sort_values("v", ignore_index=True)
@@ -7245,7 +6943,7 @@ def q_lift_curve(sf_dir: str):
     exact integers in the oracle's op order. Shuffles: the one ntile
     range exchange + a 10-row aggregate."""
     from pystreamfs_ray.stages.rank import global_ntile
-    from pystreamfs_ray.util import arrow_combiner, ensure_cols
+    from pystreamfs_ray.util import ensure_cols
 
     ev = read_parquet(_p(sf_dir, "events"),
                       columns=["event_id", "event_type", "value"])
@@ -7260,12 +6958,7 @@ def q_lift_curve(sf_dir: str):
              .groupby("decile", sort=False, as_index=False).sum())
         return g
 
-    per = (tiled.map_batches(arrow_combiner(partial),
-                             batch_format="pyarrow")
-           .groupby("decile")
-           .aggregate(Sum("n", alias_name="n"),
-                      Sum("purchases", alias_name="purchases"))
-           .to_pandas())
+    per = combine_sum(tiled, partial, "decile", ["n", "purchases"]).to_pandas()
     per = ensure_cols(per, {"decile": np.int64, "n": np.int64,
                             "purchases": np.int64})
     # bucket 1 = TOP decile (highest values): walk deciles descending
@@ -7395,7 +7088,7 @@ def q_js_divergence(sf_dir: str):
     order is unspecified and a numpy pairwise sum differs, so ROUND 6
     of differently-ordered sums could flip near a 1e-6 boundary
     (ADVICE r4). The only residual cross-engine risk is a log2 ulp."""
-    from pystreamfs_ray.util import arrow_combiner, ensure_cols
+    from pystreamfs_ray.util import ensure_cols
 
     BINS = 16
     docs = read_parquet(_p(sf_dir, "documents"),
@@ -7412,11 +7105,7 @@ def q_js_divergence(sf_dir: str):
                 .groupby(["source", "bin"], sort=False, as_index=False)
                 .sum())
 
-    per = (docs.map_batches(arrow_combiner(partial),
-                            batch_format="pyarrow")
-           .groupby(["source", "bin"])
-           .aggregate(Sum("n", alias_name="n"))
-           .to_pandas())
+    per = combine_sum(docs, partial, ["source", "bin"], ["n"]).to_pandas()
     per = ensure_cols(per, {"source": object, "bin": np.int64,
                             "n": np.int64})
     sources = sorted(per["source"].unique())
@@ -8039,7 +7728,7 @@ def q_day_overlap(sf_dir: str):
     INSIDE the user bucket (a user's sorted distinct days: each
     (d, d+1) adjacency contributes one), so only per-day int counts
     shuffle; Jaccard ships as exact floor ppm."""
-    from pystreamfs_ray.util import arrow_combiner, ensure_cols
+    from pystreamfs_ray.util import ensure_cols
 
     ev = read_parquet(_p(sf_dir, "events"), columns=["user_id", "ts"])
 

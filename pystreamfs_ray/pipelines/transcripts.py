@@ -19,8 +19,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-import ray.data as rd
-
 from pystreamfs_ray.sources import read_parquet
 
 from pystreamfs_ray.stages.window import per_bucket, sort_entity

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from pystreamfs_ray.util import arrow_block, arrow_combiner
+from pystreamfs_ray.util import arrow_block, arrow_combiner, combine_sum
 
 
 def table_audit(ds, *, key_col: str, numeric_col: str,
@@ -29,7 +29,7 @@ def table_audit(ds, *, key_col: str, numeric_col: str,
     - ``n_below_min``: numeric values below ``min_value``
     - ``min_num`` / ``max_num``: numeric bounds (rounded to 6)
     """
-    from ray.data.aggregate import Count, Max, Min, Sum
+    from ray.data.aggregate import Max, Min, Sum
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         v = df[numeric_col]
@@ -60,11 +60,7 @@ def table_audit(ds, *, key_col: str, numeric_col: str,
         return arrow_block(pd.DataFrame({key_col: vc.index,
                                          "c": vc.to_numpy(np.int64)}))
 
-    from ray.data.aggregate import Sum as _Sum
-
-    kc = (ds.select_columns([key_col])
-          .map_batches(arrow_combiner(key_counts), batch_format="pyarrow")
-          .groupby(key_col).aggregate(_Sum("c", alias_name="c")))
+    kc = combine_sum(ds.select_columns([key_col]), key_counts, key_col, ["c"])
     n_dup = int(kc.map_batches(
         lambda df: pd.DataFrame({"d": [np.int64((df["c"] > 1).sum())]}),
         batch_format="pandas").sum("d") or 0)
@@ -98,8 +94,6 @@ def feature_leakage_corr(ds, *, feature_cols, label_col="label",
     bit-identical, not just close. Feature values must be
     integer-valued (char/word counts are); label is 0/1.
     """
-    from ray.data.aggregate import Sum
-
     from pystreamfs_ray.stages.window import per_bucket, sort_entity
 
     cols = list(feature_cols)
@@ -124,15 +118,8 @@ def feature_leakage_corr(ds, *, feature_cols, label_col="label",
         return pd.DataFrame(rows, columns=["feature", "n", "sx", "sy",
                                            "sxx", "sxy", "syy"])
 
-    sums = (led.map_batches(arrow_combiner(partial),
-                            batch_format="pyarrow")
-            .groupby("feature")
-            .aggregate(Sum("n", alias_name="n"),
-                       Sum("sx", alias_name="sx"),
-                       Sum("sy", alias_name="sy"),
-                       Sum("sxx", alias_name="sxx"),
-                       Sum("sxy", alias_name="sxy"),
-                       Sum("syy", alias_name="syy")))
+    sums = combine_sum(led, partial, "feature",
+                       ["n", "sx", "sy", "sxx", "sxy", "syy"])
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         out = []

@@ -257,8 +257,6 @@ def ncm_confusion(ds, *, label_col: str = "label",
     Centroids are the ROUNDED (6-digit) class means so the assignment
     is reproducible against a decimal oracle. Ties go to the smallest
     predicted label."""
-    from ray.data.aggregate import Sum
-
     cent = label_centroids(ds, label_col=label_col, vec_col=vec_col)
     labels = np.sort(cent[label_col].unique())
     d = int(cent["dim"].max())
@@ -280,12 +278,10 @@ def ncm_confusion(ds, *, label_col: str = "label",
         out["n"] = out["n"].astype(np.int64)
         return out
 
-    from pystreamfs_ray.util import arrow_combiner
+    from pystreamfs_ray.util import combine_sum
 
-    return (ds.select_columns([label_col, vec_col])
-            .map_batches(arrow_combiner(conf), batch_format="pyarrow")
-            .groupby([label_col, "pred"])
-            .aggregate(Sum("n", alias_name="n")))
+    return combine_sum(ds.select_columns([label_col, vec_col]), conf,
+                       [label_col, "pred"], ["n"])
 
 
 def pca_project(ds, *, k: int = 8, id_col: str = "vec_id",

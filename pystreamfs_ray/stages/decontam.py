@@ -230,10 +230,8 @@ def split_leakage(ds, *, id_col: str = "doc_id", text_col: str = "text",
     ``md5_number_lower``), so the whole audit is SQL-oracle-checkable;
     a 64-bit collision would merely co-count two unrelated texts, and
     identically so in the oracle."""
-    from ray.data.aggregate import Sum
-
     from pystreamfs_ray.sources import split_cutoffs
-    from pystreamfs_ray.util import arrow_combiner
+    from pystreamfs_ray.util import combine_sum
 
     names = np.array([nm for nm, _ in splits], dtype=object)
     cuts = np.array(split_cutoffs(splits), dtype=np.uint64)
@@ -250,10 +248,7 @@ def split_leakage(ds, *, id_col: str = "doc_id", text_col: str = "text",
             tmp[f"n_{nm}"] = (sp == nm).astype(np.int64)
         return tmp.groupby("h", sort=False).sum().reset_index()
 
-    groups = (ds.map_batches(arrow_combiner(partial), batch_format="pyarrow")
-              .groupby("h")
-              .aggregate(*[Sum(f"n_{nm}", alias_name=f"n_{nm}")
-                           for nm in names]))
+    groups = combine_sum(ds, partial, "h", [f"n_{nm}" for nm in names])
 
     def flags(df: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -264,7 +259,4 @@ def split_leakage(ds, *, id_col: str = "doc_id", text_col: str = "text",
                          "n_eval_docs": np.int64(df.loc[m, f"n_{b}"].sum())})
         return pd.DataFrame(rows)
 
-    return (groups.map_batches(arrow_combiner(flags), batch_format="pyarrow")
-            .groupby("pair")
-            .aggregate(Sum("n_groups", alias_name="n_groups"),
-                       Sum("n_eval_docs", alias_name="n_eval_docs")))
+    return combine_sum(groups, flags, "pair", ["n_groups", "n_eval_docs"])

@@ -1307,8 +1307,6 @@ def windowed_exact_dedup(ds, *, id_col: str = "event_id",
         out["n_dupes"] = out["n_dupes"].astype(np.int64)
         return out[[id_col, "win", "n_dupes"]]
 
-    from pystreamfs_ray.util import arrow_combiner
-
     return (
         ds.map_batches(add_key, batch_format="pandas")
         .groupby("__h")
@@ -1950,9 +1948,8 @@ def substr_dup_coverage(ds, *, id_col: str = "doc_id",
     a verdict), so the rolling screen upper-bounds the md5 one; it
     has no SQL mirror (pytest-gated against the md5 path instead)."""
     import ray
-    from ray.data.aggregate import Sum
 
-    from pystreamfs_ray.util import arrow_combiner, fits_broadcast
+    from pystreamfs_ray.util import combine_sum, fits_broadcast
 
     L = gram_len
 
@@ -1999,9 +1996,7 @@ def substr_dup_coverage(ds, *, id_col: str = "doc_id",
         return pd.DataFrame({"h": vc.index.to_numpy(np.int64),
                              "n": vc.to_numpy(np.int64)})
 
-    counts = (ds.map_batches(arrow_combiner(count_partial),
-                             batch_format="pyarrow")
-              .groupby("h").aggregate(Sum("n", alias_name="n")))
+    counts = combine_sum(ds, count_partial, "h", ["n"])
     # materialized: the gate, the row count and the gather below all
     # read it, and each would otherwise re-run the whole gram aggregate
     rep = counts.filter(expr="n >= 2").materialize()

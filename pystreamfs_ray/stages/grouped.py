@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from pystreamfs_ray.util import arrow_block, arrow_combiner
+from pystreamfs_ray.util import arrow_block, arrow_combiner, combine_sum
 
 
 def grouped_topk(ds, group_col: str, order_col: str, k: int, *,
@@ -64,8 +64,6 @@ def pivot_counts(ds, key_col: str, pivot_col: str, values: list[str]):
     batch rows; the global groupby then sums partials — the standard
     two-level aggregation, so the exchange volume is bounded by key
     cardinality, not input size."""
-    from ray.data.aggregate import Sum
-
     cols = [f"n_{v}" for v in values]
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -75,10 +73,7 @@ def pivot_counts(ds, key_col: str, pivot_col: str, values: list[str]):
         return arrow_block(
             out.groupby(key_col, as_index=False, sort=False).sum())
 
-    return (ds.map_batches(arrow_combiner(partial),
-                           batch_format="pyarrow")
-              .groupby(key_col)
-              .aggregate(*[Sum(c, alias_name=c) for c in cols]))
+    return combine_sum(ds, partial, key_col, cols)
 
 
 def grouped_quantiles(ds, group_col: str, value_col: str,
@@ -208,7 +203,6 @@ def grouped_corr(ds, group_col: str, x_col: str, y_col: str, *,
     sized regardless of input size (same shape the reference uses for
     per-window stats, generalized to sample covariance). Zero-variance
     sides yield null, matching SQL ``corr``."""
-    from ray.data.aggregate import Sum
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         x = df[x_col].to_numpy(np.float64)
@@ -231,12 +225,8 @@ def grouped_corr(ds, group_col: str, x_col: str, y_col: str, *,
         r[(vx <= 0) | (vy <= 0) | (n < 2)] = np.nan
         return pd.DataFrame({group_col: df[group_col], out_col: r})
 
-    return (ds.select_columns([group_col, x_col, y_col])
-            .map_batches(arrow_combiner(partial), batch_format="pyarrow")
-            .groupby(group_col)
-            .aggregate(Sum("n", alias_name="n"), Sum("sx", alias_name="sx"),
-                       Sum("sy", alias_name="sy"), Sum("sxx", alias_name="sxx"),
-                       Sum("syy", alias_name="syy"), Sum("sxy", alias_name="sxy"))
+    return (combine_sum(ds.select_columns([group_col, x_col, y_col]), partial,
+                        group_col, ["n", "sx", "sy", "sxx", "syy", "sxy"])
             .map_batches(finish, batch_format="pandas"))
 
 
@@ -252,7 +242,6 @@ def group_zscore(ds, group_col: str, value_col: str, *,
     the finished stats table is broadcast once (``ray.put``) and the
     scoring pass is batch-local. Zero-variance groups yield null."""
     import ray
-    from ray.data.aggregate import Sum
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         v = df[value_col].to_numpy(dtype=np.float64)
@@ -266,11 +255,8 @@ def group_zscore(ds, group_col: str, value_col: str, *,
              "s": agg["sum"].to_numpy(np.float64),
              "ss": sq.to_numpy(np.float64)}))
 
-    stats = (ds.select_columns([group_col, value_col])
-             .map_batches(arrow_combiner(partial), batch_format="pyarrow")
-             .groupby(group_col)
-             .aggregate(Sum("n", alias_name="n"), Sum("s", alias_name="s"),
-                        Sum("ss", alias_name="ss"))
+    stats = (combine_sum(ds.select_columns([group_col, value_col]), partial,
+                         group_col, ["n", "s", "ss"])
              .to_pandas())
     from pystreamfs_ray.util import ensure_cols
 
@@ -306,7 +292,6 @@ def impute_group_mean(ds, group_col: str, value_col: str, *,
     broadcast stats → batch-local fill. A group with no non-null
     values stays null."""
     import ray
-    from ray.data.aggregate import Sum
 
     out_col = out_col or value_col
 
@@ -320,10 +305,8 @@ def impute_group_mean(ds, group_col: str, value_col: str, *,
              "n": g["count"].to_numpy(np.int64),
              "s": g["sum"].to_numpy(np.float64)}))
 
-    stats = (ds.select_columns([group_col, value_col])
-             .map_batches(arrow_combiner(partial), batch_format="pyarrow")
-             .groupby(group_col)
-             .aggregate(Sum("n", alias_name="n"), Sum("s", alias_name="s"))
+    stats = (combine_sum(ds.select_columns([group_col, value_col]), partial,
+                         group_col, ["n", "s"])
              .to_pandas())
     from pystreamfs_ray.util import ensure_cols
 
@@ -367,7 +350,6 @@ def target_encode_loo(ds, group_col: str, target_col: str, *,
     of terminating decimals land exactly on ``ndigits`` rounding
     boundaries and flip on last-ulp sum differences."""
     import ray
-    from ray.data.aggregate import Sum
 
     fixed = scale is not None
 
@@ -381,10 +363,8 @@ def target_encode_loo(ds, group_col: str, target_col: str, *,
              "n": g["count"].to_numpy(np.int64),
              "s": g["sum"].to_numpy(np.int64 if fixed else np.float64)}))
 
-    stats = (ds.select_columns([group_col, target_col])
-             .map_batches(arrow_combiner(partial), batch_format="pyarrow")
-             .groupby(group_col)
-             .aggregate(Sum("n", alias_name="n"), Sum("s", alias_name="s"))
+    stats = (combine_sum(ds.select_columns([group_col, target_col]), partial,
+                         group_col, ["n", "s"])
              .to_pandas())
     from pystreamfs_ray.util import ensure_cols
 
@@ -670,8 +650,6 @@ def psi_drift(ds, *, value_col="value", ts_col="ts", bins=10,
     never data-sized) finishes on the driver with vectorized numpy —
     the same bounded-summary shape as the sketch operators.
     """
-    from ray.data.aggregate import Sum
-
     width = (hi_cents - lo_cents) // bins
     if width * bins != hi_cents - lo_cents:
         raise ValueError("bin range must divide evenly")
@@ -687,11 +665,7 @@ def psi_drift(ds, *, value_col="value", ts_col="ts", bins=10,
         out["cnt"] = out["cnt"].astype(np.int64)
         return out
 
-    counts = (ds.map_batches(arrow_combiner(partial),
-                             batch_format="pyarrow")
-              .groupby(["day", "bin"])
-              .aggregate(Sum("cnt", alias_name="cnt"))
-              .to_pandas())
+    counts = combine_sum(ds, partial, ["day", "bin"], ["cnt"]).to_pandas()
     if counts.empty:
         return pd.DataFrame({"day": pd.Series([], dtype=object),
                              "psi": pd.Series([], dtype=np.float64)})

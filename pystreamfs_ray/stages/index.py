@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from pystreamfs_ray.util import arrow_block, arrow_combiner
+from pystreamfs_ray.util import arrow_block, arrow_combiner, combine_sum
 
 
 def inverted_index(ds, *, id_col: str = "doc_id", text_col: str = "text",
@@ -77,7 +77,6 @@ def bm25_scores(ds, query_terms: list[str], *, id_col: str = "doc_id",
     count query-term hits vectorized). No shuffle touches row data;
     only docs with positive score are emitted."""
     import ray
-    from ray.data.aggregate import Sum
 
     terms = list(dict.fromkeys(query_terms))
 
@@ -98,12 +97,8 @@ def bm25_scores(ds, query_terms: list[str], *, id_col: str = "doc_id",
         out["n_toks"] = np.int64(n_tok)
         return out
 
-    agg = (ds.select_columns([text_col])
-           .map_batches(arrow_combiner(counts), batch_format="pyarrow")
-           .groupby("term_i")
-           .aggregate(Sum("df", alias_name="df"),
-                      Sum("n_docs", alias_name="n_docs"),
-                      Sum("n_toks", alias_name="n_toks"))
+    agg = (combine_sum(ds.select_columns([text_col]), counts, "term_i",
+                       ["df", "n_docs", "n_toks"])
            .to_pandas())
     if len(agg) == 0:  # empty corpus → typed empty result
         return ds.select_columns([id_col]).map_batches(
@@ -144,8 +139,6 @@ def topn_ranked(ds, *, score_col: str, id_col: str = "doc_id",
     consumes. The pull is bounded by ``n`` BY CONSTRUCTION (a top-k is
     the output, not an intermediate), so the driver materialization is
     the legitimate small-result case."""
-    import ray.data as rd
-
     top = (ds.map_batches(
         lambda df: df.assign(**{score_col: df[score_col].round(ndigits)}),
         batch_format="pandas")

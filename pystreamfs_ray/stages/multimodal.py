@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 MEDIA_SCHEMA = pa.schema(

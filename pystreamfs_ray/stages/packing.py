@@ -16,7 +16,6 @@ depends on them.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 

@@ -20,10 +20,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ray.data.aggregate import Sum
-
 from pystreamfs_ray.stages.dedup import _md5_hex
-from pystreamfs_ray.util import arrow_combiner
+from pystreamfs_ray.util import combine_sum
 
 
 def profile_columns(ds, columns):
@@ -73,10 +71,7 @@ def profile_columns(ds, columns):
             }))
         return pd.concat(frames, ignore_index=True)
 
-    per_fp = (ds.map_batches(arrow_combiner(partial),
-                             batch_format="pyarrow")
-              .groupby(["column", "fp"])
-              .aggregate(Sum("n_nulls", alias_name="n_nulls")))
+    per_fp = combine_sum(ds, partial, ["column", "fp"], ["n_nulls"])
 
     def rollup(df: pd.DataFrame) -> pd.DataFrame:
         is_null_row = df["fp"].to_numpy() == "__null__"
@@ -87,11 +82,7 @@ def profile_columns(ds, columns):
         })
         return out.groupby("column", sort=False, as_index=False).sum()
 
-    agg = (per_fp.map_batches(arrow_combiner(rollup),
-                              batch_format="pyarrow")
-           .groupby("column")
-           .aggregate(Sum("n_distinct", alias_name="n_distinct"),
-                      Sum("n_nulls", alias_name="n_nulls"))
+    agg = (combine_sum(per_fp, rollup, "column", ["n_distinct", "n_nulls"])
            .to_pandas())
     agg["n_distinct"] = agg["n_distinct"].astype(np.int64)
     agg["n_nulls"] = agg["n_nulls"].astype(np.int64)

@@ -22,7 +22,6 @@ finished buckets entirely.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Any
 
@@ -34,7 +33,6 @@ from pystreamfs_ray.kernels.base import fscr as fscr_score
 from pystreamfs_ray.kernels.base import top_m_features
 from pystreamfs_ray.models import MODELS
 from pystreamfs_ray.util import rss_bytes
-from pystreamfs_ray.oracle import classify_window
 from pystreamfs_ray.schema import FEATURE_COLS, SELECTOR_OUTPUT_SCHEMA
 from pystreamfs_ray.stages.window import add_bucket
 from pystreamfs_ray.util import params_fingerprint

@@ -151,8 +151,7 @@ def hist_registers(ds, col: str, *, bins: int = 64,
     aggregate pass). The bin expression mirrors the DuckDB oracle
     token-for-token, so registers are bit-identical."""
     import pyarrow as pa
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Max, Min, Sum
+    from ray.data.aggregate import Count, Max, Min
 
     if lo is None or hi is None:
         mm = ds.aggregate(Min(col), Max(col))
@@ -232,7 +231,7 @@ def hist_registers_by(ds, group_col: str, col: str, *, bins: int = 32):
     degenerate group (hi == lo) uses width 1, same as the global form.
     Returns ``(registers_dataset, bounds_frame)``."""
     import ray
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Sum
 
     def mm_partial(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(group_col, sort=False)[col].agg(["min", "max"])

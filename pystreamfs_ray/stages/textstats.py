@@ -20,7 +20,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from pystreamfs_ray.util import RE2_SPACE, byte_class_counts
+from pystreamfs_ray.util import RE2_SPACE, byte_class_counts, combine_sum
 
 _F64 = pa.float64()
 
@@ -367,7 +367,6 @@ def tfidf_top_term(ds, *, id_col: str = "doc_id", text_col: str = "text",
     reduces through fixed hash buckets (vectorized across the many
     docs in each bucket — no per-doc Python call)."""
     import ray
-    from ray.data.aggregate import Sum
 
     n_docs = ds.count()
 
@@ -379,15 +378,12 @@ def tfidf_top_term(ds, *, id_col: str = "doc_id", text_col: str = "text",
                             count=int(wlen.sum()))
         pairs = pd.DataFrame({"d": wdoc, "w": wflat}).drop_duplicates()
         vc = pairs["w"].value_counts()
-        return pd.DataFrame({"w": vc.index.to_numpy(), "pdf": vc.to_numpy()})
+        return pd.DataFrame({"w": vc.index.to_numpy(), "df": vc.to_numpy()})
 
     from pystreamfs_ray.util import (arrow_combiner, bucket_array,
                                      fits_broadcast, shuffle_partitions)
 
-    df_tbl_ds = (ds.map_batches(arrow_combiner(df_partials),
-                                batch_format="pyarrow")
-                 .groupby("w").aggregate(Sum("pdf", alias_name="df"))
-                 .materialize())
+    df_tbl_ds = combine_sum(ds, df_partials, "w", ["df"]).materialize()
 
     if fits_broadcast(df_tbl_ds):
         df_tbl = df_tbl_ds.to_pandas()
@@ -490,7 +486,6 @@ def pmi_bigrams(ds, *, text_col: str = "text", min_count: int = 5,
     on w1 then w2 — same results, two more shuffles, nothing
     vocab-sized on the driver."""
     import ray
-    from ray.data.aggregate import Sum
 
     toks = ds.select_columns([text_col])
 
@@ -524,17 +519,11 @@ def pmi_bigrams(ds, *, text_col: str = "text", min_count: int = 5,
         return arrow_block(pd.DataFrame({"w": vc.index,
                                          "cu": vc.to_numpy(np.int64)}))
 
-    from pystreamfs_ray.util import (arrow_combiner, fits_broadcast,
-                                     shuffle_partitions)
+    from pystreamfs_ray.util import fits_broadcast, shuffle_partitions
 
-    uni_ds = (toks.map_batches(arrow_combiner(unigram_partial),
-                               batch_format="pyarrow")
-              .groupby("w").aggregate(Sum("cu", alias_name="cu"))
-              .materialize())
+    uni_ds = combine_sum(toks, unigram_partial, "w", ["cu"]).materialize()
     n_tokens = int(uni_ds.sum("cu") or 0)
-    big = (toks.map_batches(arrow_combiner(bigram_partial),
-                            batch_format="pyarrow")
-           .groupby(["w1", "w2"]).aggregate(Sum("c", alias_name="c")))
+    big = combine_sum(toks, bigram_partial, ["w1", "w2"], ["c"])
     # M without a third pass: bigrams = tokens - one seam per non-empty doc
     n_docs_nonempty = int(toks.map_batches(
         lambda df: pd.DataFrame(
@@ -553,7 +542,9 @@ def pmi_bigrams(ds, *, text_col: str = "text", min_count: int = 5,
         from pystreamfs_ray.util import ensure_cols
 
         uni = ensure_cols(uni_ds.to_pandas(), {"w": object, "cu": np.int64})
-        ref = ray.put(dict(zip(uni["w"], uni["cu"].to_numpy(np.int64))))
+        # zip the Series itself: its values come out as Python ints,
+        # which pickle in about half the bytes of numpy int64 scalars
+        ref = ray.put(dict(zip(uni["w"], uni["cu"])))
 
         def finish(df: pd.DataFrame) -> pd.DataFrame:
             lut = ray.get(ref)
@@ -740,10 +731,8 @@ def unigram_logprob(ds, *, id_col: str = "doc_id", text_col: str = "text",
         return pd.DataFrame({"w": vc.index.to_numpy(),
                              "c": vc.to_numpy(np.int64)})
 
-    counts_ds = (ds.select_columns([text_col])
-                 .map_batches(arrow_combiner(count_partial),
-                              batch_format="pyarrow")
-                 .groupby("w").aggregate(Sum("c", alias_name="c"))
+    counts_ds = (combine_sum(ds.select_columns([text_col]), count_partial, "w",
+                             ["c"])
                  .materialize())
     n_total = float(counts_ds.sum("c") or 0)
     if n_total == 0:
@@ -908,11 +897,7 @@ def bigram_logprob(ds, *, id_col: str = "doc_id", text_col: str = "text",
             parts.append(bp[["w1", "w2", "cu", "cb"]])
         return pd.concat(parts, ignore_index=True)
 
-    counts = (toks.map_batches(arrow_combiner(count_partial),
-                               batch_format="pyarrow")
-              .groupby(["w1", "w2"])
-              .aggregate(Sum("cu", alias_name="cu"),
-                         Sum("cb", alias_name="cb"))
+    counts = (combine_sum(toks, count_partial, ["w1", "w2"], ["cu", "cb"])
               .materialize())
 
     # gate on the combined (unigram + bigram) count table
@@ -1142,10 +1127,7 @@ def nucleus_vocab(ds, *, text_col: str = "text",
     key — Zipf-tail counts spread across range partitions by word, so
     no single partition holds the whole n=1 tail.
     """
-    from ray.data.aggregate import Sum
-
     from pystreamfs_ray.stages.packing import distributed_prefix_sum
-    from pystreamfs_ray.util import arrow_combiner
 
     def partial_counts(df: pd.DataFrame) -> pd.DataFrame:
         words = (df[text_col].str.lower().str.findall(r"[a-z0-9_]+")
@@ -1154,10 +1136,7 @@ def nucleus_vocab(ds, *, text_col: str = "text",
         return pd.DataFrame({"word": vc.index.astype(str),
                              "n": vc.to_numpy(np.int64)})
 
-    counts = (ds.map_batches(arrow_combiner(partial_counts),
-                             batch_format="pyarrow")
-              .groupby("word").aggregate(Sum("n", alias_name="n"))
-              ).materialize()
+    counts = combine_sum(ds, partial_counts, "word", ["n"]).materialize()
     total = int(counts.sum("n") or 0)
     if total == 0:
         return counts.map_batches(
@@ -1220,9 +1199,6 @@ def bpe_train(ds, *, text_col: str = "text", num_merges: int = 32,
     no SQL mirror (rows-only driver check); the pytest compares
     against a naive sequential reference.
     """
-    from ray.data.aggregate import Sum
-
-    from pystreamfs_ray.util import arrow_combiner
 
     def partial_counts(df: pd.DataFrame) -> pd.DataFrame:
         words = (df[text_col].str.lower().str.findall(r"[a-z0-9_]+")
@@ -1231,10 +1207,7 @@ def bpe_train(ds, *, text_col: str = "text", num_merges: int = 32,
         return pd.DataFrame({"word": vc.index.astype(str),
                              "n": vc.to_numpy(np.int64)})
 
-    counts = (ds.map_batches(arrow_combiner(partial_counts),
-                             batch_format="pyarrow")
-              .groupby("word").aggregate(Sum("n", alias_name="n"))
-              .to_pandas())
+    counts = combine_sum(ds, partial_counts, "word", ["n"]).to_pandas()
     if len(counts):
         counts = counts[counts["n"] >= min_count]
     vocab = [(tuple(w), int(n))

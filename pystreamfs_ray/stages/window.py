@@ -57,7 +57,10 @@ def per_bucket(
     num_buckets: int = DEFAULT_BUCKETS,
     drop_bucket: bool = True,
 ):
-    """Hash-bucket entities, apply ``fn`` to each sorted bucket DataFrame."""
+    """Hash-bucket entities and apply ``fn`` to each bucket's DataFrame.
+    The rows reach ``fn`` in no particular order: a ``fn`` that needs
+    them in entity/time order sorts first, itself or through a helper
+    that sorts (``sort_entity``, ``rolling_time_sum``)."""
 
     def _run(group: pd.DataFrame):
         import pyarrow as pa

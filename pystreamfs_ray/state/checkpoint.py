@@ -128,8 +128,6 @@ def resume_selector(features_ds, *, checkpoint_dir: str, kernel: str,
     Returns a Dataset equal to a from-scratch ``run_selector`` run with
     the same arguments (tests assert equality).
     """
-    import ray.data as rd
-
     from pystreamfs_ray.sources import read_parquet
 
     from pystreamfs_ray.stages.selector import run_selector

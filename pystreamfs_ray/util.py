@@ -229,10 +229,12 @@ def quantile_bounds(values: np.ndarray, num_partitions: int) -> np.ndarray:
 
 def arrow_block(df):
     """pandas → metadata-free Arrow table. Return this from any
-    map_batches COMBINER that feeds a groupby/aggregate: pandas blocks
-    through Ray's sort-based shuffle cost ~60× more map/reduce CPU
-    than Arrow blocks (measured — see BASELINE.md), and the pandas
-    schema-metadata blob additionally defeats shuffle schema-dedup."""
+    map_batches COMBINER that feeds a groupby/aggregate (``combine_sum``
+    and ``arrow_combiner`` do it for a combiner that returns pandas):
+    pandas blocks through Ray's sort-based shuffle cost ~60× more
+    map/reduce CPU than Arrow blocks (measured — see BASELINE.md), and
+    the pandas schema-metadata blob additionally defeats shuffle
+    schema-dedup."""
     import pyarrow as pa
 
     return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
@@ -245,7 +247,9 @@ def arrow_combiner(fn):
     map-side keeps the fast Arrow sort path. Declaring
     ``batch_format="pandas"`` switches the fused sort to pandas blocks
     even when the fn RETURNS Arrow — measured 4-6× slower on a
-    150k-key aggregate. Use as
+    150k-key aggregate. A combiner whose reduce only sums goes through
+    ``combine_sum``; any other reduce (``Count``/``Max``/``Min``,
+    ``map_groups``, a join) uses
     ``map_batches(arrow_combiner(partial), batch_format="pyarrow")``."""
     import pyarrow as pa
 
@@ -254,6 +258,22 @@ def arrow_combiner(fn):
         return out if isinstance(out, pa.Table) else arrow_block(out)
 
     return wrapped
+
+
+def combine_sum(ds, partial, keys, sums):
+    """The map-side combiner → exact hash reduce for per-key sums:
+    ``partial`` (pandas batch → pandas/Arrow partial rows) pre-aggregates
+    each batch, then one groupby on ``keys`` sums each column of
+    ``sums`` under its own name, so ``partial`` emits the final column
+    names. Output: ``keys`` then ``sums``, one row per distinct key.
+    The helper adds no local combine of its own: pandas ``groupby``
+    drops null keys where Arrow ``group_by`` keeps them, so whether a
+    null key survives stays the partial's choice."""
+    from ray.data.aggregate import Sum
+
+    return (ds.map_batches(arrow_combiner(partial), batch_format="pyarrow")
+            .groupby(keys)
+            .aggregate(*(Sum(c, alias_name=c) for c in sums)))
 
 
 def drop_empty_blocks(ds, num_blocks: int):
@@ -272,10 +292,13 @@ def drop_empty_blocks(ds, num_blocks: int):
 # gathers into the calling process and broadcasts (``ray.put``) instead
 # of keeping it distributed (a hash join or shuffle). It bounds the
 # gather, the Python structures built from it, and the copy each node
-# keeps in its object store. 32 MiB is the largest power of two at
-# which every site that broadcasts a Python dict keeps the gathering
-# process under 2 GiB of RSS (``pmi_bigrams`` peaks at ~1.1 GiB here
-# and ~2.1 GiB at 64 MiB). Tests patch it to force either side.
+# keeps in its object store. At 32 MiB the sites that broadcast a
+# Python dict peak the gathering process at ~0.5 GiB of RSS
+# (``evaluate_windows``, ``pmi_bigrams``) and ~0.3 GiB
+# (``minhash_lsh_pairs``). 32 MiB was picked while ``pmi_bigrams``'
+# dict held numpy int64 values, which took it past 2 GiB at 64 MiB;
+# its 64 MiB peak with Python ints is unmeasured. Tests patch it to
+# force either side.
 BROADCAST_MAX_BYTES = 32 * 1024 * 1024
 
 

@@ -171,6 +171,33 @@ def test_pmi_bigrams_known_counts(ray_session):
     assert out["pmi"].tolist() == [want, want]
 
 
+def test_pmi_bigrams_broadcasts_python_ints(ray_session, monkeypatch,
+                                            broadcast_paths):
+    import ray
+    import ray.data as rd
+
+    from pystreamfs_ray.stages.textstats import pmi_bigrams
+
+    put = ray.put
+    dicts = []
+
+    def spy(obj, *args, **kwargs):
+        if isinstance(obj, dict):
+            dicts.append(obj)
+        return put(obj, *args, **kwargs)
+
+    monkeypatch.setattr(ray, "put", spy)
+    df = pd.DataFrame({"text": ["a b a", "b a b"]})
+    for _ in broadcast_paths("broadcast"):
+        out = pmi_bigrams(rd.from_pandas(df).repartition(2),
+                          min_count=2).to_pandas()
+    assert len(out) == 2
+    # the unigram table: the one dict whose keys are the corpus words
+    luts = [d for d in dicts if set(d) == {"a", "b"}]
+    assert luts == [{"a": 3, "b": 3}]
+    assert all(type(v) is int for v in luts[0].values())
+
+
 def test_feature_hash_slots_and_counts(ray_session):
     import duckdb
     import ray.data as rd

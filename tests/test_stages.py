@@ -504,3 +504,52 @@ def test_hist_sketch_quantiles_and_merge_invariance(ray_session):
     approx = hist_quantile(a, [0.25, 0.5, 0.9], lo=lo, hi=hi, bins=128)
     exact = np.quantile(vals, [0.25, 0.5, 0.9])
     assert np.all(np.abs(np.array(approx) - exact) <= w + 1e-9)
+
+
+@pytest.mark.parametrize("keys", ["k1", ["k1", "k2"]])
+def test_combine_sum_matches_pandas_groupby_sum(ray_session, keys):
+    import ray.data as rd
+
+    from pystreamfs_ray.util import combine_sum
+
+    rng = np.random.default_rng(11)
+    frames = []
+    for i in range(3):
+        n = 40 + 7 * i
+        frames.append(pd.DataFrame({
+            # "all" is in every block; the other keys differ per block
+            "k1": np.where(rng.random(n) < 0.4, "all",
+                           rng.choice([f"b{i}", "x", "y"], n)),
+            "k2": rng.integers(0, 3, n),
+            "a": rng.integers(-50, 50, n),
+            "b": rng.integers(0, 1000, n),
+        }))
+    ds = rd.from_pandas(frames)
+    assert ds.materialize().num_blocks() == 3
+    assert all((f["k1"] == "all").any() for f in frames)
+    by = [keys] if isinstance(keys, str) else keys
+
+    def partial(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby(by, as_index=False, sort=False)[["a", "b"]].sum()
+
+    got = (combine_sum(ds, partial, keys, ["a", "b"]).to_pandas()
+           .sort_values(by, ignore_index=True))
+    whole = pd.concat(frames, ignore_index=True)
+    want = whole.groupby(by, as_index=False)[["a", "b"]].sum()
+    pd.testing.assert_frame_equal(got, want)
+
+
+def test_combine_sum_zero_rows(ray_session):
+    import ray.data as rd
+
+    from pystreamfs_ray.util import combine_sum
+
+    empty = pd.DataFrame({"k": pd.Series([], dtype=object),
+                          "a": pd.Series([], dtype=np.int64)})
+
+    def partial(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby("k", as_index=False, sort=False)[["a"]].sum()
+
+    got = combine_sum(rd.from_pandas(empty), partial, "k", ["a"]).to_pandas()
+    want = empty.groupby("k")[["a"]].sum()
+    assert len(got) == len(want) == 0
