@@ -15,8 +15,12 @@ import numpy as np
 class KNNClassifier:
     """Brute-force k-nearest-neighbor majority vote (euclidean).
 
-    Ties in the vote resolve to the smallest label; k shrinks to the
-    training size when the prefix is smaller than k.
+    Neighbour order: smaller distance first, then the earlier train row.
+    The k neighbours are therefore exactly ``np.argsort(d2,
+    kind="stable")[:, :k]`` of the float32 distances, whatever the train
+    tile size, so a refit on the same rows always votes with the same
+    neighbours. Ties in the vote resolve to the smallest label; k shrinks
+    to the training size when the prefix is smaller than k.
 
     Memory-bandwidth discipline (the prequential eval streams a
     ~max_history×m train matrix per window, so traffic — not flops —
@@ -43,6 +47,27 @@ class KNNClassifier:
 
     _TRAIN_CHUNK = 4096  # d2 tile (test × chunk) stays cache-resident
 
+    @staticmethod
+    def _tile_topk(d2: np.ndarray, kc: int) -> np.ndarray:
+        """Column indices of each row's ``kc`` nearest entries under the
+        neighbour order: every entry below the kc-th smallest value, then
+        the earliest entries equal to it. ``argpartition`` alone keeps an
+        arbitrary subset of the ties at the boundary, so the rows with
+        more boundary ties than free slots are re-ranked."""
+        idx = np.argpartition(d2, kc - 1, axis=1)[:, :kc]
+        if kc == d2.shape[1]:
+            return idx
+        kth = np.take_along_axis(d2, idx[:, kc - 1:kc], axis=1)
+        le = d2 <= kth
+        rows = np.flatnonzero(le.sum(axis=1) > kc)
+        if rows.size:
+            lt = d2[rows] < kth[rows]
+            eq = le[rows] & ~lt
+            free = kc - lt.sum(axis=1, keepdims=True)
+            keep = lt | (eq & (np.cumsum(eq, axis=1) <= free))
+            idx[rows] = np.nonzero(keep)[1].reshape(rows.size, kc)
+        return idx
+
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float32)
         n_train = self._X.shape[0]
@@ -59,17 +84,17 @@ class KNNClassifier:
             for c0 in range(0, n_train, ch):
                 Xc = self._X[c0:c0 + ch]
                 d2 = self._norms[c0:c0 + ch][None, :] - 2.0 * (xb @ Xc.T)
-                kc = min(k, Xc.shape[0])
-                idx = np.argpartition(d2, kc - 1, axis=1)[:, :kc]
+                idx = self._tile_topk(d2, min(k, Xc.shape[0]))
                 dch = np.take_along_axis(d2, idx, axis=1)
                 ich = idx + c0
                 if best_d is None:
                     best_d, best_i = dch, ich
                 else:
+                    # (distance, train row) order: earlier tiles hold the
+                    # earlier rows, so ties keep the earlier neighbour
                     cat_d = np.concatenate([best_d, dch], axis=1)
                     cat_i = np.concatenate([best_i, ich], axis=1)
-                    kk = min(k, cat_d.shape[1])
-                    sel = np.argpartition(cat_d, kk - 1, axis=1)[:, :kk]
+                    sel = np.lexsort((cat_i, cat_d), axis=1)[:, :min(k, cat_d.shape[1])]
                     best_d = np.take_along_axis(cat_d, sel, axis=1)
                     best_i = np.take_along_axis(cat_i, sel, axis=1)
             votes = self._y[best_i]
@@ -78,6 +103,17 @@ class KNNClassifier:
                 counts[:, c] = np.sum(votes == c, axis=1)
             preds[s:s + 4096] = np.argmax(counts, axis=1)
         return preds
+
+
+def gather_selected(X: np.ndarray, selected) -> np.ndarray:
+    """The model input for one selected feature set: ``X``'s selected
+    columns in ascending column order, as one contiguous copy.
+
+    Every prequential evaluator (the selector's inline eval, the
+    sequential oracle and the salted eval stage) gathers through here,
+    so one set gives one matrix whatever order the kernel ranked it in,
+    and the three paths fit every model on the same bits."""
+    return np.ascontiguousarray(X[:, np.sort(np.asarray(selected, dtype=np.int64))])
 
 
 class LogisticSGD:

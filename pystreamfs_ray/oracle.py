@@ -19,7 +19,7 @@ import numpy as np
 
 from pystreamfs_ray.kernels import get_kernel
 from pystreamfs_ray.kernels.base import fscr, top_m_features
-from pystreamfs_ray.models import MODELS
+from pystreamfs_ray.models import MODELS, gather_selected
 
 
 def run_stream(
@@ -91,14 +91,20 @@ def run_stream(
 def classify_window(X, Y, i, batch_size, selected, model, max_history=None) -> float:
     """Prequential evaluation with the zero-leakage prefix contract:
     train on rows [0, i), never on row ≥ i (utils.py:35-52). Window 0
-    trains on itself (reference degenerate case)."""
-    x_test = X[i:i + batch_size][:, selected]
+    trains on itself (reference degenerate case).
+
+    The model sees the selected columns in ascending column order
+    (``models.gather_selected``), never in the kernel's ranking order:
+    a feature set is a set, so two kernels that select the same one get
+    the same accuracy, and the selector's inline eval and the salted
+    eval stage, which gather the same way, match this bit for bit."""
+    x_test = gather_selected(X[i:i + batch_size], selected)
     y_test = Y[i:i + batch_size]
     if i == 0:
         x_train, y_train = x_test, y_test
     else:
         lo = 0 if max_history is None else max(0, i - max_history)
-        x_train = X[lo:i, :][:, selected]
+        x_train = gather_selected(X[lo:i], selected)
         y_train = Y[lo:i]
     model.fit(x_train, y_train)
     pred = model.predict(x_test)

@@ -35,8 +35,9 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from pystreamfs_ray.models import MODELS
+from pystreamfs_ray.models import MODELS, gather_selected
 from pystreamfs_ray.schema import FEATURE_COLS, LABEL_COL
+from pystreamfs_ray.stages.window import lag_delta_seconds
 from pystreamfs_ray.util import (bucket_array, drop_empty_blocks,
                                  fits_broadcast, shuffle_partitions)
 
@@ -185,19 +186,11 @@ def evaluate_windows(
              label_col: rows[label_col].to_pandas()}
         )
         if lag_local and len(rows):
-            # recompute the lag feature locally: sort by (entity, rank),
-            # µs diff / 1e6, entity boundary → 0.0 (backfill semantics)
-            ts_us = rows[ts_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
+            # recompute the lag feature locally, in (entity, rank) order
             ent = rdf[entity_col].to_numpy()
-            rank = rdf[order_col].to_numpy()
-            o = np.lexsort((rank, ent))
-            delta_sorted = np.zeros(len(o))
-            same = ent[o][1:] == ent[o][:-1]
-            delta_sorted[1:] = np.where(
-                same, (ts_us[o][1:] - ts_us[o][:-1]) / 1e6, 0.0
-            )
+            o = np.lexsort((rdf[order_col].to_numpy(), ent))
             delta = np.empty(len(o))
-            delta[o] = delta_sorted
+            delta[o] = lag_delta_seconds(ent[o], rows[ts_col].to_numpy()[o])
         mats = []
         for c in feature_cols:
             if lag_local and c == "f_ts_delta_s":
@@ -230,14 +223,14 @@ def evaluate_windows(
                 test_m = (ranks >= i0) & (ranks < i0 + batch_size)
                 if not test_m.any():
                     continue
-                x_test = X[test_m][:, sel]
+                x_test = gather_selected(X[test_m], sel)
                 y_test = Y[test_m]
                 if wid == 0:
                     x_train, y_train = x_test, y_test
                 else:
                     lo = max(0, i0 - max_history)
                     train_m = (ranks >= lo) & (ranks < i0)
-                    x_train = X[train_m][:, sel]
+                    x_train = gather_selected(X[train_m], sel)
                     y_train = Y[train_m]
                 m = MODELS[model]()
                 m.fit(x_train, y_train)

@@ -8,7 +8,9 @@ the reference contract forbids intra-entity parallelism); across
 entities everything is parallel. Entities are hash-bucketed once
 (shuffle #1) and each bucket runs as one group task; the stage passes
 a constructed ``BucketSelector``, so the kernel registry resolves once,
-in ``__init__``, when the stage is built.
+in ``__init__``, when the stage is built. ``map_groups`` hands each
+bucket over as a pyarrow table; the stage sorts and reads it as numpy
+and never builds a pandas frame.
 
 Per entity × window the stage emits: weight vector ``w``, top-m
 ``selected`` set, ``fscr`` vs the previous window
@@ -26,16 +28,25 @@ import time
 from typing import Any
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from pystreamfs_ray.kernels.base import fscr as fscr_score
 from pystreamfs_ray.kernels.base import top_m_features
-from pystreamfs_ray.models import MODELS
+from pystreamfs_ray.models import MODELS, gather_selected
 from pystreamfs_ray.util import rss_bytes
 from pystreamfs_ray.schema import FEATURE_COLS, SELECTOR_OUTPUT_SCHEMA
-from pystreamfs_ray.stages.window import add_bucket
+from pystreamfs_ray.stages.window import add_bucket, lag_delta_seconds
 from pystreamfs_ray.util import params_fingerprint
+
+
+def _list_column(rows: list[np.ndarray], dtype) -> pa.ListArray:
+    """One list<dtype> column from per-row vectors: one flat values array
+    plus offsets, no per-element Python objects."""
+    offsets = np.zeros(len(rows) + 1, dtype=np.int32)
+    np.cumsum([len(r) for r in rows], out=offsets[1:])
+    flat = np.concatenate(rows).astype(dtype, copy=False) if rows else np.zeros(0, dtype)
+    return pa.ListArray.from_arrays(pa.array(offsets), pa.array(flat))
 
 
 def _entity_slices(keys: np.ndarray) -> list[tuple[int, int]]:
@@ -117,24 +128,30 @@ class BucketSelector:
         }
 
     def _classify(self, Xfull, Yfull, hist_n, i, selected, model, first: bool,
-                  sel_cache: dict):
+                  sel_cache: dict, acc_cache: dict):
         """Prequential eval with cross-run history: train on (carried
         history + this run's prefix), bounded by max_history — identical
         to oracle.classify_window when history is empty.
 
         ``Xfull`` = concat(history, run rows), built ONCE per entity.
-        The feature gather ``Xfull[:, selected]`` and its row norms are
-        cached per distinct ``selected`` tuple (``sel_cache``): the
-        selected set is stable across most windows, so the whole-prefix
-        column gather + norm pass amortize to ~once per entity instead
-        of once per window — the dominant memory-traffic term at high
-        core counts. Values are identical to the uncached path."""
-        key = tuple(int(s) for s in selected)
+        The model sees the set through ``gather_selected``, so the
+        result depends on the set, not on a kernel's ranking of it.
+        Two per-entity caches, keyed by the sorted set: ``acc_cache``
+        maps (window start, set) to the accuracy, so kernels that agree
+        on a window's set evaluate it once; ``sel_cache`` holds the last
+        8 sets' gathers and row norms: the selected set is stable across
+        most windows, so the whole-prefix column gather + norm pass
+        amortize to ~once per entity instead of once per window. Values
+        are identical to the uncached path."""
+        key = tuple(np.sort(selected).tolist())
+        acc = acc_cache.get((i, key))
+        if acc is not None:
+            return acc
         ent = sel_cache.get(key)
         if ent is None:
             if len(sel_cache) >= 8:  # tiny LRU: drop the oldest gather
                 sel_cache.pop(next(iter(sel_cache)))
-            Xsel = np.ascontiguousarray(Xfull[:, selected])
+            Xsel = gather_selected(Xfull, selected)
             ent = (Xsel, np.einsum("ij,ij->i", Xsel, Xsel))
             sel_cache[key] = ent
         Xsel, norms = ent
@@ -148,33 +165,41 @@ class BucketSelector:
             lo = 0 if self.max_history is None else max(0, hi - self.max_history)
             model.fit(Xsel[lo:hi], Yfull[lo:hi], norms[lo:hi])
         pred = model.predict(x_test)
-        return float(np.mean(pred == np.asarray(y_test, dtype=np.int64)))
+        acc = float(np.mean(pred == np.asarray(y_test, dtype=np.int64)))
+        acc_cache[(i, key)] = acc
+        return acc
 
-    def __call__(self, group: pd.DataFrame) -> pa.Table:
+    def _read_bucket(self, group: pa.Table):
+        """Sort the bucket by (entity, order columns) and read it as
+        numpy: entity keys, float64 features, labels and timestamps.
+
+        A missing ``f_ts_delta_s`` is computed here, after the one
+        shuffle, since the lag needs entity order."""
+        order = pc.sort_indices(group, sort_keys=[
+            (c, "ascending") for c in (self.entity_col, *self.order_cols)
+        ]).to_numpy()
+
+        def col(name):
+            return group.column(name).to_numpy()[order]
+
+        conv = col(self.entity_col)
+        ts_all = (col(self.ts_col)
+                  if self.ts_col and self.ts_col in group.column_names else None)
+        X_all = np.empty((len(order), len(self.feature_cols)))
+        for j, c in enumerate(self.feature_cols):
+            if c in group.column_names:
+                X_all[:, j] = col(c)
+            elif c == "f_ts_delta_s" and ts_all is not None:
+                X_all[:, j] = lag_delta_seconds(conv, ts_all)
+            else:
+                raise KeyError(c)
+        return conv, X_all, col(self.label_col), ts_all
+
+    def __call__(self, group: pa.Table) -> pa.Table:
         t_start = time.perf_counter()
-        bucket_id = int(group["__bucket"].iloc[0]) if "__bucket" in group.columns else -1
-        group = group.sort_values(
-            [self.entity_col, *self.order_cols], kind="mergesort", ignore_index=True
-        )
-        if (
-            "f_ts_delta_s" in self.feature_cols
-            and "f_ts_delta_s" not in group.columns
-            and self.ts_col
-            and self.ts_col in group.columns
-        ):
-            # lag feature needs entity ordering → computed here, after the
-            # one shuffle, instead of in the stateless featurizer
-            from pystreamfs_ray.stages.window import add_lag_delta
-
-            group = add_lag_delta(group, entity_col=self.entity_col, ts_col=self.ts_col)
-        conv = group[self.entity_col].to_numpy()
-        X_all = group[self.feature_cols].to_numpy(dtype=np.float64)
-        Y_all = group[self.label_col].to_numpy()
-        ts_all = (
-            group[self.ts_col].to_numpy()
-            if self.ts_col and self.ts_col in group.columns
-            else None
-        )
+        bucket_id = (int(group.column("__bucket")[0].as_py())
+                     if "__bucket" in group.column_names else -1)
+        conv, X_all, Y_all, ts_all = self._read_bucket(group)
 
         o_kern: list[str] = []
         o_conv: list[str] = []
@@ -233,7 +258,7 @@ class BucketSelector:
                 wid0 = prior["next_window"]
             else:
                 X, Y, tsv = Xn, Yn, tsn
-                hist_X = np.zeros((0, X_all.shape[1]))
+                hist_X = np.zeros((0, X_all.shape[1]), dtype=np.float32)
                 hist_Y = np.zeros((0,), dtype=Y_all.dtype)
                 wid0 = 0
 
@@ -250,6 +275,7 @@ class BucketSelector:
                 Xfull = Xfull.astype(np.float32)
                 Yfull = np.concatenate([hist_Y, Y]) if hist_n else Y
             sel_cache: dict = {}  # per-entity (selected → gather) cache
+            acc_cache: dict = {}  # per-entity ((window, set) → acc) cache
             kstates = {}
             for kname, kernel in self.kernels:
                 if prior is not None:
@@ -275,7 +301,8 @@ class BucketSelector:
                     if model is not None:
                         acc = self._classify(Xfull, Yfull, hist_n, i, selected,
                                              model, first=(gwid == 0),
-                                             sel_cache=sel_cache)
+                                             sel_cache=sel_cache,
+                                             acc_cache=acc_cache)
                     o_kern.append(kname)
                     o_conv.append(cid)
                     o_wid.append(gwid)
@@ -283,8 +310,8 @@ class BucketSelector:
                         tsv[min(X.shape[0] - 1, i + bs - 1)] if tsv is not None else None
                     )
                     o_nrows.append(min(bs, X.shape[0] - i))
-                    o_w.append(np.asarray(w, dtype=np.float64))
-                    o_sel.append(selected.astype(np.int32))
+                    o_w.append(w)
+                    o_sel.append(selected)
                     o_fscr.append(
                         fscr_score(prev_sel, selected, self.num_features)
                         if gwid >= 1 and prev_sel is not None else None
@@ -297,7 +324,8 @@ class BucketSelector:
 
             if self.streaming:
                 keep = self.max_history or 0
-                hist_all = np.concatenate([hist_X, X[:n_full]])
+                # float32, as the eval casts it anyway (bit-equal acc)
+                hist_all = np.concatenate([hist_X, X[:n_full].astype(np.float32)])
                 histY_all = np.concatenate([hist_Y, Y[:n_full]])
                 new_states[cid] = {
                     "pending_X": X[n_full:] if not self.flush else X[:0],
@@ -319,8 +347,8 @@ class BucketSelector:
                 "window_id": pa.array(o_wid, type=pa.int64()),
                 "ts_end": pa.array(o_tsend, type=pa.timestamp("us")),
                 "n_rows": pa.array(o_nrows, type=pa.int32()),
-                "w": pa.array([list(w) for w in o_w], type=pa.list_(pa.float64())),
-                "selected": pa.array([list(s) for s in o_sel], type=pa.list_(pa.int32())),
+                "w": _list_column(o_w, np.float64),
+                "selected": _list_column(o_sel, np.int32),
                 "fscr": pa.array(o_fscr, type=pa.float64()),
                 "acc": pa.array(o_acc, type=pa.float64()),
                 "wall_ms": pa.array(o_wall, type=pa.float64()),
@@ -345,7 +373,8 @@ class BucketSelector:
             lag_s = None
             if o_tsend and o_tsend[-1] is not None:
                 watermark = max(t for t in o_tsend if t is not None)
-                lag_s = time.time() - pd.Timestamp(watermark).timestamp()
+                lag_s = time.time() - (
+                    np.datetime64(watermark, "us").astype(np.int64) / 1e6)
             write_bucket_checkpoint(
                 self.checkpoint_dir,
                 bucket_id,
@@ -410,4 +439,4 @@ def run_selector(
     ds = features_ds.select_columns(cols)
     bucketed = add_bucket(ds, entity_col, num_buckets)
     return bucketed.groupby("__bucket").map_groups(selector,
-                                                   batch_format="pandas")
+                                                   batch_format="pyarrow")

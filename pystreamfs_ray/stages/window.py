@@ -95,6 +95,20 @@ def add_lag_delta(df: pd.DataFrame, *, entity_col="conv_id", ts_col="ts",
     return df
 
 
+def lag_delta_seconds(entity: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """``add_lag_delta``'s values, bit for bit, on numpy arrays sorted by
+    entity then turn: the integer tick gap to the previous turn of the
+    same entity over ticks per second (as pandas' ``total_seconds``),
+    0.0 on each entity's first turn and next to a null timestamp."""
+    ticks = ts.view(np.int64)
+    per_s = np.timedelta64(1, "s") / np.timedelta64(1, np.datetime_data(ts.dtype)[0])
+    out = np.zeros(len(ts))
+    if len(ts) > 1:
+        ok = (entity[1:] == entity[:-1]) & ~np.isnat(ts[1:]) & ~np.isnat(ts[:-1])
+        out[1:][ok] = np.diff(ticks)[ok] / per_s
+    return out
+
+
 def assign_tumbling(df: pd.DataFrame, size: int, *, entity_col="conv_id",
                     out_col="window_id") -> pd.DataFrame:
     """Count-based tumbling window id = seq // size (short tail window

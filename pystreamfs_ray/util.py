@@ -150,23 +150,27 @@ def ensure_cols(df, schema: dict):
     return df
 
 
-_PAGE_SIZE = None
+_STATM = (None, -1, 0)  # (owner pid, fd, page size)
 
 
 def rss_bytes() -> int:
     """Current process resident-set size in bytes — the sandbox stand-in
     for the reference's per-window USS probe
     (`/root/reference/pystreamfs/pystreamfs.py:74`; psutil is absent
-    here). /proc read costs ~5 µs — same per-window cadence as the
-    reference. Falls back to ru_maxrss (peak, kB) off Linux."""
-    global _PAGE_SIZE
+    here), at the reference's per-window cadence. ``/proc/self/statm``
+    is opened once per process and re-read with ``pread``; the fd is
+    keyed by pid, since a forked child inherits it and ``self`` in it
+    still names the parent. Falls back to ru_maxrss (peak, kB) off
+    Linux."""
+    global _STATM
     import os
 
     try:
-        with open("/proc/self/statm", "rb") as f:
-            if _PAGE_SIZE is None:
-                _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE")
-            return int(f.read().split()[1]) * _PAGE_SIZE
+        pid, fd, page = _STATM
+        if pid != os.getpid():
+            fd = os.open("/proc/self/statm", os.O_RDONLY | os.O_CLOEXEC)
+            _STATM = pid, fd, page = os.getpid(), fd, os.sysconf("SC_PAGE_SIZE")
+        return int(os.pread(fd, 256, 0).split()[1]) * page
     except OSError:
         import resource
 

@@ -1,7 +1,8 @@
 """Source guards: the broadcast-or-shuffle decision, the fallback join
-partition count, the per-window memory probe and the combiner → Sum
-reduce each have one rule in the package, no function takes an option
-that overrides one, and no module imports a name it never uses."""
+partition count, the per-window memory probe, the combiner → Sum
+reduce and the prequential evaluators' feature gather each have one
+rule in the package, no function takes an option that overrides one,
+and no module imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -141,3 +142,34 @@ def test_no_unused_imports():
                         found.append(f"{path.relative_to(PKG.parent)}:"
                                      f"{imp.lineno} {bound}")
     assert found == []
+
+
+EVALUATORS = {"stages/selector.py", "oracle.py", "stages/evaluate.py"}
+
+
+def _column_gather(node):
+    """``<x>[:, <expr>]`` read with a computed column index."""
+    if not (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.slice, ast.Tuple)
+            and len(node.slice.elts) == 2):
+        return False
+    rows, cols = node.slice.elts
+    return (isinstance(rows, ast.Slice)
+            and rows.lower is rows.upper is rows.step is None
+            and not isinstance(cols, (ast.Slice, ast.Constant)))
+
+
+def test_evaluators_gather_only_through_gather_selected():
+    """The three prequential evaluators fit their models on
+    ``models.gather_selected`` (ascending columns) and gather columns no
+    other way, so they cannot drift apart on column order again."""
+    found, callers = [], set()
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if name in EVALUATORS and _column_gather(node):
+                found.append(f"{name}:{node.lineno}")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "gather_selected"):
+                callers.add(name)
+    assert found == []
+    assert callers == EVALUATORS
