@@ -12,11 +12,10 @@ Stages and shuffles:
    ``flagship`` materializes the window Dataset here, so the fold runs
    once for the join and the summary below;
 3. as-of join of window-end feature state onto label timestamps (zero
-   leakage, ``stages/asof.py``). At most ``util.BROADCAST_MAX_BYTES``
-   in memory (``util.fits_broadcast``) the window side is broadcast and
-   each label batch probes it in one ``map_batches`` (no shuffle), above
-   that both sides go
-   through shuffle #2, a hash shuffle on the entity. Windows of several
+   leakage, ``stages/asof.py``). When ``stages/joins.broadcast`` admits
+   the window side it is broadcast and each label batch probes it in
+   one ``map_batches`` (no shuffle); otherwise both sides go through
+   shuffle #2, a hash shuffle on the entity. Windows of several
    kernels share (conv_id, ts_end) and the ``kernel`` column is not
    joined: the tie goes to the window that comes last in the window
    Dataset, on either path;

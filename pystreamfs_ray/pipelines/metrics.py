@@ -25,17 +25,6 @@ def global_summary(selector_ds) -> pd.DataFrame:
     return pd.DataFrame([row])
 
 
-def per_entity_summary(selector_ds):
-    """Per-conversation means (groupby shuffle over small window rows)."""
-    return selector_ds.groupby("conv_id").aggregate(
-        Count(alias_name="n_windows"),
-        Mean("wall_ms", alias_name="time_avg_ms"),
-        Mean("fscr", alias_name="fscr_avg"),
-        Mean("acc", alias_name="acc_avg"),
-        Sum("n_rows", alias_name="rows_total"),
-    )
-
-
 def accuracy_over_time(selector_ds):
     """Accuracy mean + Q1/Q3 band per window ordinal across entities
     (the reference's accuracy plot panel, pystreamfs.py:136-140)."""

@@ -351,10 +351,9 @@ def q_semi_join(sf_dir: str):
 
     urgent = read_parquet(_p(sf_dir, "orders"),
                              columns=["o_orderkey", "o_orderpriority"])
-    keys = (
-        urgent.filter(expr="o_orderpriority == '1-URGENT'")
-        .select_columns(["o_orderkey"]).to_pandas()["o_orderkey"].to_numpy()
-    )
+    keys = (urgent.filter(expr="o_orderpriority == '1-URGENT'")
+            .map_batches(lambda t: pa.table({"l_orderkey": t["o_orderkey"]}),
+                         batch_format="pyarrow"))
     li = read_parquet(_p(sf_dir, "lineitem"),
                          columns=["l_orderkey", "l_linenumber", "l_quantity"])
     return semi_join(li, keys, on="l_orderkey")
@@ -366,10 +365,9 @@ def q_anti_join(sf_dir: str):
 
     urgent = read_parquet(_p(sf_dir, "orders"),
                              columns=["o_custkey", "o_orderpriority"])
-    keys = (
-        urgent.filter(expr="o_orderpriority == '1-URGENT'")
-        .select_columns(["o_custkey"]).to_pandas()["o_custkey"].unique()
-    )
+    keys = (urgent.filter(expr="o_orderpriority == '1-URGENT'")
+            .map_batches(lambda t: pa.table({"c_custkey": t["o_custkey"]}),
+                         batch_format="pyarrow"))
     cust = read_parquet(_p(sf_dir, "customer"),
                            columns=["c_custkey", "c_name", "c_mktsegment"])
     return anti_join(cust, keys, on="c_custkey")
@@ -1010,9 +1008,10 @@ def q_semantic_dedup(sf_dir: str):
 
     with_probes = emb.map_batches(probes, batch_format="pyarrow")
     pairs = embedding_neardup_pairs(with_probes, threshold=0.95)
-    dup_ids = pairs.select_columns(["id_b"]).to_pandas()["id_b"].unique()
-    kept = anti_join(with_probes.select_columns(["vec_id"]), dup_ids, on="vec_id")
-    return kept
+    dup_ids = pairs.map_batches(lambda t: pa.table({"vec_id": t["id_b"]}),
+                                batch_format="pyarrow")
+    return anti_join(with_probes.select_columns(["vec_id"]), dup_ids,
+                     on="vec_id")
 
 
 def q_dedup_groups(sf_dir: str):

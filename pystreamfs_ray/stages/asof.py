@@ -8,17 +8,18 @@ time-series: for every left row (label event) take the latest right row
 (direction="backward", exact matches allowed) — zero temporal leakage by
 construction, asserted by a property test.
 
-Execution: the right side is materialized once and its in-memory size
-is read from the block metadata (no ``count()``/``schema()`` pass). The
-size picks one of two paths that differ only in how rows meet; both
-hand one left table and the right rows of its entities to the same
-per-entity merge (``_merge``):
+Execution: ``stages/joins.broadcast`` takes the one broadcast-or-join
+decision on the right side (materialized once, Arrow bytes read from
+the block metadata — no ``count()``/``schema()`` pass). It picks one
+of two paths that differ only in how rows meet; both hand one left
+table and the right rows of its entities to the same per-entity merge
+(``_merge``):
 
-- **broadcast** (right side at most ``util.BROADCAST_MAX_BYTES``, the
-  ``util.fits_broadcast`` gate every small-side stage shares): the right
-  rows are gathered by the calling process, indexed once (a stable sort
-  on a hash of the entity key, plus the row range of each distinct
-  hash) and put in the object store. ONE ``map_batches`` over the left side
+- **broadcast** (the right side fits the ``stages/joins`` gate):
+  the helper gathers the right rows in Dataset order, they are indexed
+  once (a stable sort on a hash of the entity key, plus the row range
+  of each distinct hash) and put in the object store. ONE
+  ``map_batches`` over the left side
   probes each batch against it — no union, no bucket column, no sort
   shuffle. The index is Arrow and numpy buffers, which a task maps
   without copying; a batch binary-searches its distinct keys and
@@ -49,8 +50,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
+from pystreamfs_ray.stages.joins import _to_arrow, broadcast
 from pystreamfs_ray.stages.window import DEFAULT_BUCKETS
-from pystreamfs_ray.util import bucket_array, fits_broadcast
+from pystreamfs_ray.util import bucket_array
 
 _RTS = "__rts"
 _SIDE = "__side"
@@ -67,12 +69,6 @@ def _ensure_arrow(ds):
         ds = ds.map_batches(lambda t: t, batch_format="pyarrow")
         sch = ds.schema()
     return ds, dict(zip(sch.names, sch.types))
-
-
-def _to_arrow(block) -> pa.Table:
-    from ray.data.block import BlockAccessor
-
-    return BlockAccessor.for_block(block).to_arrow()
 
 
 def _merge(left: pa.Table, right: pa.Table, *, by: str, left_on: str,
@@ -124,17 +120,13 @@ def _key_hash(keys) -> np.ndarray:
     return pd.util.hash_array(keys.to_numpy(zero_copy_only=False))
 
 
-def _index_right(blocks, by: str, right_on: str):
-    """The right blocks as one Arrow table (``by``, ``_RTS``, payload)
-    with the rows of each key hash contiguous and in Dataset order, the
-    sorted distinct key hashes, and the row bounds of each hash's run.
-    Zero-row blocks are dropped first: Ray may hand them without a
-    schema, which a plain concat rejects."""
-    tables = [_to_arrow(b) for b in ray.get([ref for ref, _ in blocks])]
-    typed = ([t for t in tables if t.num_rows]
-             or [t for t in tables if t.num_columns])
-    t = (pa.concat_tables(typed, promote_options="permissive") if typed
-         else pa.table({by: pa.nulls(0), right_on: pa.nulls(0)}))
+def _index_right(t: pa.Table, by: str, right_on: str):
+    """The gathered right side as one Arrow table (``by``, ``_RTS``,
+    payload) with the rows of each key hash contiguous and in Dataset
+    order, the sorted distinct key hashes, and the row bounds of each
+    hash's run."""
+    if by not in t.column_names:  # no typed block
+        t = pa.table({by: pa.nulls(0), right_on: pa.nulls(0)})
     payload = [c for c in t.column_names if c not in (by, right_on)]
     t = t.select([by, right_on, *payload]).rename_columns([by, _RTS, *payload])
     h = _key_hash(t[by])
@@ -168,7 +160,7 @@ def asof_join(
 ):
     """Point-in-time join of ``right_ds`` features onto ``left_ds`` rows.
 
-    Broadcasts the right side when ``util.fits_broadcast`` admits it,
+    Broadcasts the right side when ``joins.broadcast`` admits it,
     else shuffles both sides into ``num_buckets`` entity buckets; the
     output is the same either way."""
     def merge(left: pa.Table, right: pa.Table) -> pa.Table:
@@ -178,11 +170,8 @@ def asof_join(
                       right_suffix=right_suffix,
                       matched=matched_name or f"{right_on}_matched")
 
-    right = right_ds.materialize()
-    blocks = [b for bundle in right.iter_internal_ref_bundles()
-              for b in bundle.blocks]
-    if fits_broadcast(right):
-        ref = ray.put(_index_right(blocks, by, right_on))
+    right, ref = broadcast(right_ds, lambda t: _index_right(t, by, right_on))
+    if ref is not None:
 
         def probe(batch: pa.Table) -> pa.Table:
             table, hashes, bounds = ray.get(ref)
@@ -200,6 +189,8 @@ def asof_join(
 
         return left_ds.map_batches(probe, batch_format="pyarrow",
                                    batch_size=None)
+    blocks = [b for bundle in right.iter_internal_ref_bundles()
+              for b in bundle.blocks]
     return _shuffle_join(left_ds, blocks, merge, by=by, right_on=right_on,
                          num_buckets=num_buckets)
 

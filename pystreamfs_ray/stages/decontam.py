@@ -6,10 +6,9 @@ PaLM §7 n-gram overlap definitions).
 Design for 100 TB: both sides reduce to DISTINCT (doc, gram-hash)
 pairs built with one vectorized pass per batch (no per-row Python).
 The eval side (a benchmark suite) is tiny relative to the corpus, so
-its distinct gram hashes are broadcast once and corpus grams filter
-against them vectorized — ONE shuffle total; a distributed hash join
-is the automatic fallback when the eval side fails
-``util.fits_broadcast`` (the one broadcast gate).
+corpus grams filter against its gram hashes through
+``stages/joins.lookup``: broadcast and probed per batch when it fits
+(ONE shuffle total), else a hash semi join.
 Gram hashes are md5-low-64 (`dedup._md5_lower64`) so every result is
 DuckDB-oracle-checkable via ``md5_number_lower``. Membership in the
 eval set is a deterministic hash predicate on the id (same rule as
@@ -88,18 +87,14 @@ def decontaminate(ds, *, n: int = 4, eval_rate: float = 0.10,
     document's distinct contaminated grams.
 
     The eval side (a benchmark suite) is tiny relative to the corpus by
-    construction, so the default path broadcasts its distinct gram
-    hashes once (``ray.put`` → zero-copy shared numpy in every task)
-    and filters corpus grams with a vectorized ``searchsorted`` —
-    leaving ONE shuffle total (the final grouped count). When the eval
-    pairs fail ``util.fits_broadcast`` it falls back to a
-    distributed hash join (three shuffle stages), the path for
-    eval-vs-eval style jobs where neither side is small."""
-    import ray
+    construction, so corpus grams meet its gram hashes in a
+    ``stages/joins.lookup`` semi join: broadcast and probed per batch
+    when it fits — leaving ONE shuffle total (the final grouped
+    count) — else a hash semi join, the path for eval-vs-eval style
+    jobs where neither side is small."""
     from ray.data.aggregate import Count
 
-    from pystreamfs_ray.util import (drop_empty_blocks, fits_broadcast,
-                                     shuffle_partitions)
+    from pystreamfs_ray.stages.joins import lookup
 
     def split(member: bool):
         def fn(df: pd.DataFrame) -> pd.DataFrame:
@@ -111,33 +106,10 @@ def decontaminate(ds, *, n: int = 4, eval_rate: float = 0.10,
     corpus_grams = ngram_hash_pairs(
         ds.map_batches(split(False), batch_format="pandas"),
         n=n, id_col=id_col, text_col=text_col)
-    # consumed twice (size probe + broadcast/join side) — materialize
-    # so the eval-side text scan doesn't re-run per consumer
-    eval_pairs = ngram_hash_pairs(
+    eval_grams = ngram_hash_pairs(
         ds.map_batches(split(True), batch_format="pandas"),
-        n=n, id_col=id_col, text_col=text_col).materialize()
-
-    if fits_broadcast(eval_pairs):
-        gh = np.unique(eval_pairs.select_columns(["gh"]).to_pandas()["gh"].to_numpy())
-        ref = ray.put(gh)  # sorted by np.unique
-
-        def flag(t: pa.Table) -> pa.Table:
-            arr = ray.get(ref)
-            v = t["gh"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(arr, v)
-            pos[pos == len(arr)] = 0
-            hit = arr[pos] == v if len(arr) else np.zeros(len(v), bool)
-            return t.filter(pa.array(hit))
-
-        hits = corpus_grams.map_batches(flag, batch_format="pyarrow")
-    else:
-        num_partitions = shuffle_partitions()
-        eval_grams = drop_empty_blocks(
-            (eval_pairs.groupby("gh")
-             .aggregate(Count(alias_name="__c")).drop_columns(["__c"])),
-            num_partitions)
-        hits = corpus_grams.join(eval_grams, join_type="inner",
-                                 num_partitions=num_partitions, on=("gh",))
+        n=n, id_col=id_col, text_col=text_col).select_columns(["gh"])
+    hits = lookup(corpus_grams, eval_grams, "gh", how="semi")
     return hits.groupby(id_col).aggregate(Count(alias_name="n_shared"))
 
 
@@ -151,62 +123,34 @@ def dup_ngram_stats(ds, *, n: int = 5, id_col: str = "doc_id",
     100-TB shape: documents reduce to DISTINCT (doc, gram-hash) pairs
     once (`ngram_hash_pairs` — a doc lives in one batch row, so
     per-batch dedup IS global dedup); gram document-frequencies come
-    from ONE groupby over those pairs. Only the DUPLICATED gram hashes
-    are needed downstream — when that set passes
-    ``util.fits_broadcast``, it broadcasts once and membership is a vectorized
-    ``searchsorted`` (no second shuffle); otherwise the frequency table
-    hash-joins back onto the pairs. A final per-doc count aggregate
-    emits (n_grams, n_dup). Text never shuffles; every exchanged row
-    is two int64s."""
-    import ray
+    from ONE groupby over those pairs. Each pair is then marked by a
+    ``stages/joins.lookup`` against the DUPLICATED gram hashes
+    (broadcast and probed per batch when they fit — no second shuffle
+    — else a hash join). A final per-doc count aggregate emits
+    (n_grams, n_dup). Text never shuffles; every exchanged row is two
+    int64s."""
     from ray.data.aggregate import Count, Sum
 
-    from pystreamfs_ray.util import (drop_empty_blocks, fits_broadcast,
-                                     shuffle_partitions)
+    from pystreamfs_ray.stages.joins import lookup
 
     # `pairs` is a diamond: it feeds BOTH the frequency groupby and the
     # membership mark below. Materialize it once (int64 pairs in the
     # object store, spillable) — re-deriving it means a second full
     # text scan + findall pass, the dominant cost (measured 12.8 s →
     # 3.5 s at sf0.01; same reason minhash_lsh_pairs materializes its
-    # signatures). `dup_ghs` is materialized for the size gate.
+    # signatures).
     pairs = ngram_hash_pairs(ds, n=n, id_col=id_col,
                              text_col=text_col).materialize()
     freqs = pairs.groupby("gh").aggregate(Count(alias_name="nd"))
-    dup_ghs = freqs.filter(expr=f"nd >= {min_docs}").materialize()
+    dup_ghs = freqs.filter(expr=f"nd >= {min_docs}").select_columns(["gh"])
 
-    if fits_broadcast(dup_ghs):
-        arr = np.sort(
-            dup_ghs.select_columns(["gh"]).to_pandas()["gh"].to_numpy())
-        ref = ray.put(arr)
+    def dup_flag(t: pa.Table) -> pa.Table:
+        return pa.table({id_col: t[id_col],
+                         "dup": pa.array(t["dup"].to_numpy(zero_copy_only=False)
+                                         .astype(np.int64))})
 
-        def mark_bcast(t: pa.Table) -> pa.Table:
-            a = ray.get(ref)
-            v = t["gh"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(a, v)
-            pos[pos == len(a)] = 0
-            hit = (a[pos] == v) if len(a) else np.zeros(len(v), bool)
-            return pa.table({
-                id_col: t[id_col],
-                "dup": pa.array(hit.astype(np.int64)),
-            })
-
-        marked = pairs.map_batches(mark_bcast, batch_format="pyarrow")
-    else:
-        num_partitions = shuffle_partitions()
-        joined = pairs.join(drop_empty_blocks(freqs, num_partitions),
-                            join_type="inner",
-                            num_partitions=num_partitions, on=("gh",))
-
-        def mark(t: pa.Table) -> pa.Table:
-            nd = t["nd"].to_numpy(zero_copy_only=False)
-            return pa.table({
-                id_col: t[id_col],
-                "dup": pa.array((nd >= min_docs).astype(np.int64)),
-            })
-
-        marked = joined.map_batches(mark, batch_format="pyarrow")
-
+    marked = lookup(pairs, dup_ghs, "gh", how="mark", mark="dup").map_batches(
+        dup_flag, batch_format="pyarrow")
     return (marked.groupby(id_col)
             .aggregate(Count(alias_name="n_grams"),
                        Sum("dup", alias_name="n_dup")))

@@ -10,9 +10,9 @@ Scale shapes (per the Ray Data dedup playbook):
   permutations) → explode to (band_id, band_hash, doc_id) rows →
   groupby banding buckets → candidate pairs → verify with the
   *signature-estimated* Jaccard against the signature table (no O(n²)
-  text comparison): broadcast when it passes ``util.fits_broadcast``,
-  the gate every small-side switch in this module uses, else two hash
-  joins (no driver materialization).
+  text comparison), looked up per pair through ``stages/joins.lookup``
+  (broadcast when it fits, else two hash joins — no driver
+  materialization), the switch every small side in this module uses.
 - SimHash: 64-bit signature per doc, banded into 16-bit blocks for
   candidate generation, Hamming-verified.
 - embedding near-dup: random-hyperplane LSH buckets → exact cosine
@@ -372,11 +372,10 @@ def minhash_lsh_pairs(ds, *, id_col="doc_id", text_col="text", num_perm=128,
     verification then filters, so the output equals "pairs sharing >=1
     exact band" (the form the DuckDB oracle computes) w.h.p.
 
-    Verification side: when the signature table passes
-    ``util.fits_broadcast`` it is broadcast once (`ray.put`) and looked
-    up per batch — the small-side pattern; otherwise two partitioned
-    hash joins carry the signatures to the pairs (the 10^9-doc scale
-    path)."""
+    Verification side: distinct candidate pairs look up both
+    signatures through ``stages/joins.lookup`` — broadcast once and
+    probed per batch when the signature table fits, else two
+    partitioned hash joins (the 10^9-doc scale path)."""
     assert num_perm % bands == 0
     rows_per_band = num_perm // bands
 
@@ -427,88 +426,32 @@ def minhash_lsh_pairs(ds, *, id_col="doc_id", text_col="text", num_perm=128,
         return pd.DataFrame({"id_a": np.concatenate(out_a),
                              "id_b": np.concatenate(out_b)})
 
-    from pystreamfs_ray.util import (arrow_combiner, fits_broadcast,
-                                     shuffle_partitions)
+    from ray.data.aggregate import Count
 
+    from pystreamfs_ray.stages.joins import KeyedSide, lookup
+    from pystreamfs_ray.util import arrow_combiner
+
+    # distinct pairs (a pair fires in many bands) via a C-backed hash
+    # aggregate — no per-group Python
     cand = (
         sigs.map_batches(arrow_combiner(explode_bands), batch_format="pyarrow")
         .map_batches(arrow_combiner(assign_pb), batch_format="pyarrow")
         .groupby("__pb")
         .map_groups(bucket_pairs, batch_format="pandas")
-    )
-
-    if fits_broadcast(sigs):
-        # small corpus: ONE more shuffle keyed on the pair hash does
-        # distinct (a pair fires in many bands) AND the broadcast-dict
-        # verification together, all vectorized per bucket
-        import ray
-
-        sig_pdf = sigs.to_pandas()
-        ref = ray.put(dict(zip(sig_pdf[id_col], sig_pdf["sig"])))
-
-        def assign_vb(df: pd.DataFrame) -> pd.DataFrame:
-            with np.errstate(over="ignore"):
-                mix = (df["id_a"].to_numpy().astype(np.uint64)
-                       * np.uint64(0x9E3779B97F4A7C15)
-                       + df["id_b"].to_numpy().astype(np.uint64))
-                mix ^= mix >> np.uint64(31)
-            df["__vb"] = (mix % np.uint64(pair_buckets)).astype(np.int32)
-            return df
-
-        def estimate_bcast(g: pd.DataFrame) -> pd.DataFrame:
-            g = g.drop_duplicates(["id_a", "id_b"])
-            if not len(g):
-                out = g[["id_a", "id_b"]].copy()
-                out["jaccard_est"] = np.zeros(0)
-                return out
-            table = ray.get(ref)
-            sa = _sig_matrix([table[a] for a in g["id_a"]], num_perm)
-            sb = _sig_matrix([table[b] for b in g["id_b"]], num_perm)
-            out = g[["id_a", "id_b"]].copy()
-            # k/num_perm is exact in double — no rounding, so the DuckDB
-            # oracle (SUM(eq)/num_perm) is bit-equal
-            out["jaccard_est"] = (sa == sb).mean(axis=1)
-            return out[out["jaccard_est"] >= threshold]
-
-        return (
-            cand.map_batches(arrow_combiner(assign_vb),
-                             batch_format="pyarrow")
-            .groupby("__vb")
-            .map_groups(estimate_bcast, batch_format="pandas")
-        )
-
-    # scale path: distinct via a C-backed hash aggregate (no per-group
-    # Python), then signature-estimated Jaccard via two hash joins (no
-    # driver pull).
-    from ray.data.aggregate import Count as _Count
-
-    cand = (
-        cand.groupby(["id_a", "id_b"])
-        .aggregate(_Count(alias_name="__nb"))
+        .groupby(["id_a", "id_b"])
+        .aggregate(Count(alias_name="__nb"))
         .drop_columns(["__nb"])
     )
-    num_partitions = shuffle_partitions()
-    sig_a = sigs.map_batches(
-        lambda t: t.rename_columns(["id_a", "sig_a"]), batch_format="pyarrow"
-    )
-    sig_b = sigs.map_batches(
-        lambda t: t.rename_columns(["id_b", "sig_b"]), batch_format="pyarrow"
-    )
-    from pystreamfs_ray.util import drop_empty_blocks
-
-    # cand is a map_groups output — schema-less empty blocks break joins
-    joined = drop_empty_blocks(cand, num_partitions).join(
-        sig_a, join_type="inner", num_partitions=num_partitions,
-        on=("id_a",))
-    joined = drop_empty_blocks(joined, num_partitions).join(
-        sig_b, join_type="inner", num_partitions=num_partitions,
-        on=("id_b",))
-    joined = joined.select_columns(["id_a", "id_b", "sig_a", "sig_b"])
+    side = KeyedSide(sigs, id_col)
+    joined = lookup(lookup(cand, side, "id_a", rename={"sig": "sig_a"}),
+                    side, "id_b", rename={"sig": "sig_b"})
 
     def estimate(df: pd.DataFrame) -> pd.DataFrame:
         sa = _sig_matrix(df["sig_a"].tolist(), num_perm)
         sb = _sig_matrix(df["sig_b"].tolist(), num_perm)
         out = df[["id_a", "id_b"]].copy()
+        # k/num_perm is exact in double — no rounding, so the DuckDB
+        # oracle (SUM(eq)/num_perm) is bit-equal
         out["jaccard_est"] = (sa == sb).mean(axis=1) if len(df) else np.zeros(0)
         return out[out["jaccard_est"] >= threshold]
 
@@ -755,8 +698,8 @@ def connected_components(pairs_ds, *, id_a="id_a", id_b="id_b",
 
     Returns (node, component) where component = min node id reachable.
 
-    Size gate (``util.fits_broadcast``, the one broadcast↔join switch):
-    when the DIRECTED edge table passes it, the identical min-label +
+    Size gate (``stages/joins.broadcast``, the one broadcast-or-join
+    decision): when the DIRECTED edge table fits, the identical min-label +
     pointer-doubling recurrence runs vectorized on the driver — each
     numpy pass is O(E), so millions of edges converge in milliseconds,
     versus ~1 s of fixed shuffle/barrier overhead PER ROUND for the
@@ -772,7 +715,8 @@ def connected_components(pairs_ds, *, id_a="id_a", id_b="id_b",
         rev = pd.DataFrame({"src": df[id_b], "dst": df[id_a]})
         return pd.concat([fwd, rev], ignore_index=True)
 
-    from pystreamfs_ray.util import fits_broadcast, shuffle_partitions
+    from pystreamfs_ray.stages.joins import broadcast
+    from pystreamfs_ray.util import shuffle_partitions
 
     num_partitions = shuffle_partitions()
     # block-count discipline: every per-round sort's output partition
@@ -801,13 +745,14 @@ def connected_components(pairs_ds, *, id_a="id_a", id_b="id_b",
         pa.int64())
     label_schema = pa.schema([("node", node_type), ("component", node_type)])
 
-    if fits_broadcast(edges):
+    edges, small = broadcast(edges, put=False)
+    if small is not None:
         # driver fast path: same recurrence, numpy-vectorized.
         # np.unique sorts, so index order == value order and min-index
         # labels equal the distributed min-value labels for ints AND
         # strings alike.
-        df = edges.to_pandas()
-        src, dst = df["src"].to_numpy(), df["dst"].to_numpy()
+        src = small["src"].to_numpy()
+        dst = small["dst"].to_numpy()
         nodes, inv = np.unique(np.concatenate([src, dst]),
                                return_inverse=True)
         a, b = inv[:len(src)], inv[len(src):]
@@ -997,14 +942,15 @@ def neardup_canonical(pairs_ds, attrs_ds, *, id_col: str = "doc_id",
     pair-sized edge set (never corpus-sized); the attribute join ships
     only ``(id, score)`` for nodes that ARE in components; the argmax
     reduces through a per-batch combiner partial (one row per component
-    per block) before the component-keyed groupby — text never
-    shuffles, and no component ever needs to fit on the driver."""
-    import ray
+    per block), then one vectorized finish per hash bucket of
+    components — text never shuffles, and no component ever needs to
+    fit on the driver. The attribute lookup is ``stages/joins.lookup``:
+    the component map is broadcast when it fits (one attrs scan, no
+    shuffle of attrs), else hash-joined."""
     import ray.data as rd
 
-    from pystreamfs_ray.util import (arrow_block, arrow_combiner,
-                                     drop_empty_blocks, fits_broadcast,
-                                     shuffle_partitions)
+    from pystreamfs_ray.stages.joins import lookup
+    from pystreamfs_ray.util import arrow_block, arrow_combiner
 
     comps = connected_components(pairs_ds)  # (node, component), materialized
     if comps.count() == 0:  # no pairs → no duplicate groups
@@ -1015,41 +961,7 @@ def neardup_canonical(pairs_ds, attrs_ds, *, id_col: str = "doc_id",
     attrs = attrs_ds.select_columns([id_col, score_col]).map_batches(
         lambda t: t.rename_columns(["node", "__score"]),
         batch_format="pyarrow")
-    # size gate (util.fits_broadcast): the component map is
-    # pair-graph-sized — when it fits, ship it once via ray.put and
-    # reduce to per-batch argmax partials over ONE attrs scan (no
-    # join, no shuffle of attrs; measured ~4.5 s → ~1 s at sf0.1 where
-    # the map is 477 rows). Above it, the hash-join path keeps any
-    # component count off the driver.
-    if fits_broadcast(comps):
-        comp_df = comps.to_pandas()
-        ref = ray.put((comp_df["node"].to_numpy(np.int64),
-                       comp_df["component"].to_numpy(np.int64)))
-
-        def local(df: pd.DataFrame) -> pd.DataFrame:
-            nodes, labels = ray.get(ref)
-            pos = pd.Index(nodes).get_indexer(df["node"])
-            hit = pos >= 0
-            if not hit.any():
-                return pd.DataFrame({
-                    "component": pd.Series([], dtype=np.int64),
-                    "node": pd.Series([], dtype=np.int64),
-                    "__score": pd.Series([], dtype=np.int64)})
-            return pd.DataFrame({
-                "component": labels[pos[hit]],
-                "node": df["node"].to_numpy(np.int64)[hit],
-                "__score": df["__score"].to_numpy(np.int64)[hit]})
-
-        joined = attrs.map_batches(local, batch_format="pandas")
-        small = True
-    else:
-        # comps is a groupby output — schema-less empty blocks break
-        # the join
-        num_partitions = shuffle_partitions()
-        joined = drop_empty_blocks(comps, num_partitions).join(
-            attrs, join_type="inner",
-            num_partitions=num_partitions, on=("node",))
-        small = False
+    joined = lookup(attrs, comps, "node")
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["component", "__score", "node"],
@@ -1063,44 +975,27 @@ def neardup_canonical(pairs_ds, attrs_ds, *, id_col: str = "doc_id",
             "n_members": n.loc[best["component"]].to_numpy(np.int64),
         }))
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        n = np.int64(g["n_members"].sum())
-        g = g.sort_values(["best_score", "keep_id"],
-                          ascending=[False, True], kind="mergesort")
-        out = g.iloc[:1][["component", "keep_id", "best_score"]].copy()
-        out["n_members"] = n
-        return out
-
-    partials = joined.map_batches(arrow_combiner(partial),
-                                  batch_format="pyarrow")
-    if small:
-        # the partial table is |components|×blocks bounded and the
-        # component map already fit on the driver — a pandas merge
-        # replaces the Ray sort shuffle (~2 s of fixed barrier cost
-        # at sf0.1 for a 477-row finish)
-        p = partials.to_pandas()
-        if len(p) == 0:
-            return rd.from_arrow(pa.schema(
-                [("component", pa.int64()), ("keep_id", pa.int64()),
-                 ("best_score", pa.int64()),
-                 ("n_members", pa.int64())]).empty_table())
+    def final(p: pd.DataFrame) -> pd.DataFrame:
         n_tot = p.groupby("component", sort=False)["n_members"].sum()
-        p = p.sort_values(["best_score", "keep_id"],
-                          ascending=[False, True], kind="mergesort")
-        best = p.drop_duplicates("component")
-        out = pd.DataFrame({
+        best = p.sort_values(["best_score", "keep_id"],
+                             ascending=[False, True],
+                             kind="mergesort").drop_duplicates("component")
+        return pd.DataFrame({
             "component": best["component"].to_numpy(np.int64),
             "keep_id": best["keep_id"].to_numpy(np.int64),
             "best_score": best["best_score"].to_numpy(np.int64),
-            "n_members": n_tot.loc[best["component"]]
-                              .to_numpy(np.int64),
-        }).sort_values("component", ignore_index=True)
-        return rd.from_pandas(out)
-    return partials.groupby("component").map_groups(
-        final, batch_format="pandas")
+            "n_members": n_tot.loc[best["component"]].to_numpy(np.int64),
+        })
 
+    def bucket(t: pa.Table) -> pa.Table:
+        return t.append_column("__b", pc.cast(
+            pc.bit_wise_and(t["component"], 63), pa.int32()))
 
-# ------------------------------------------------------- embedding near-dup
+    return (joined.map_batches(arrow_combiner(partial), batch_format="pyarrow")
+            .map_batches(bucket, batch_format="pyarrow")
+            .groupby("__b")
+            .map_groups(arrow_combiner(lambda p: final(p.drop(columns="__b"))),
+                        batch_format="pyarrow"))
 
 
 def embedding_neardup_pairs(ds, *, id_col="vec_id", vec_col="embedding",
@@ -1930,26 +1825,24 @@ def substr_dup_coverage(ds, *, id_col: str = "doc_id",
     union identity ``covered = Σ min(gap, L) + L`` — exact integers,
     one vectorized diff per doc batch, no per-row loop.
 
-    Scale notes: the repeated-gram set is size-gated — when it passes
-    ``util.fits_broadcast`` it broadcasts via ``ray.put`` into the
-    doc-local scoring pass (zero extra shuffles); above it the honest
-    fallback is a (id, pos, hash) distributed join, which ships ~20 B
-    per corpus character — at that scale switch to a stride-sampled
-    or rolling-hash-bucketed screen first (documented trade; the md5
-    gram hash here exists for DuckDB-oracle parity, production would
-    swap in a rolling polynomial hash with the same shape). Output:
-    one row per doc
-    (id, n_chars, n_rep_grams, covered_chars, dup_ppm).
+    Scale notes: pass 2 is a ``stages/joins.lookup_docs`` of each doc's
+    (id, pos, hash) gram rows against the repeated set. When the set
+    fits it is broadcast into the doc-local scoring pass (zero extra
+    shuffles); above it the gram rows hash-join the set and reduce per
+    doc bucket, which ships ~40 B per corpus character — at that scale
+    the rolling hash below keeps pass 1 and the gram rows cheap (the
+    md5 gram hash exists for DuckDB-oracle parity). Output: one row per
+    doc (id, n_chars, n_rep_grams, covered_chars, dup_ppm); a doc with
+    no repeated gram keeps its row with zero coverage.
 
-    ``hash_kind="rolling"`` IS that production path: a vectorized
+    ``hash_kind="rolling"`` is the production screen: a vectorized
     Rabin-Karp-style polynomial gram hash (uint64 wraparound, odd
     multiplier) — no per-position md5 calls, ~10× cheaper per char,
     identical shapes. Collisions can only ADD coverage (a screen, not
     a verdict), so the rolling screen upper-bounds the md5 one; it
     has no SQL mirror (pytest-gated against the md5 path instead)."""
-    import ray
-
-    from pystreamfs_ray.util import combine_sum, fits_broadcast
+    from pystreamfs_ray.stages.joins import lookup_docs
+    from pystreamfs_ray.util import combine_sum
 
     L = gram_len
 
@@ -1997,44 +1890,39 @@ def substr_dup_coverage(ds, *, id_col: str = "doc_id",
                              "n": vc.to_numpy(np.int64)})
 
     counts = combine_sum(ds, count_partial, "h", ["n"])
-    # materialized: the gate, the row count and the gather below all
-    # read it, and each would otherwise re-run the whole gram aggregate
-    rep = counts.filter(expr="n >= 2").materialize()
-    n_rep = rep.count()
-    if not fits_broadcast(rep):
-        raise NotImplementedError(
-            f"{n_rep} distinct repeated {L}-grams exceed the broadcast "
-            "gate; at this scale run a stride-sampled screen or the "
-            "rolling-hash bucketed variant first (see docstring)")
-    rep_arr = (rep.to_pandas()["h"].to_numpy(np.int64)
-               if n_rep else np.array([], dtype=np.int64))
-    rep_ref = ray.put(np.sort(rep_arr))
+    rep = counts.filter(expr="n >= 2").select_columns(["h"])
 
-    def score(df: pd.DataFrame) -> pd.DataFrame:
-        rset = ray.get(rep_ref)
-        ids = df[id_col].to_numpy()
-        out_n, out_rep, out_cov = [], [], []
-        for t in df[text_col]:
-            g = _doc_grams(t)
-            if len(g) and len(rset):
-                idx = np.searchsorted(rset, g)
-                idx[idx == len(rset)] = 0
-                hit = np.flatnonzero(rset[idx] == g)
-            else:
-                hit = np.array([], dtype=np.int64)
-            out_n.append(len(t))
-            out_rep.append(len(hit))
-            if len(hit):
-                gaps = np.diff(hit)
-                out_cov.append(int(np.minimum(gaps, L).sum()) + L)
-            else:
-                out_cov.append(0)
-        n_chars = np.array(out_n, dtype=np.int64)
-        covered = np.array(out_cov, dtype=np.int64)
+    def gram_rows(df: pd.DataFrame) -> pa.Table:
+        """(id, pos, h, n_chars) per gram, plus a pos -1 row per doc so
+        a doc without grams keeps its row."""
+        gs = [_doc_grams(t) for t in df[text_col]]
+        lens = np.array([len(g) for g in gs], dtype=np.int64) + 1
+        starts = np.cumsum(lens) - lens
+        pos = np.arange(int(lens.sum()), dtype=np.int64) - np.repeat(starts, lens) - 1
+        h = np.concatenate([np.r_[np.int64(0), g] for g in gs]) if gs \
+            else np.zeros(0, np.int64)
+        return pa.table({id_col: np.repeat(df[id_col].to_numpy(), lens),
+                         "pos": pos, "h": h,
+                         "n_chars": np.repeat(df[text_col].str.len()
+                                              .to_numpy(np.int64), lens)})
+
+    def cover(df: pd.DataFrame) -> pd.DataFrame:
+        docs = df[df["pos"] < 0]
+        hit = df[(df["pos"] >= 0) & df["__found"]].sort_values(
+            [id_col, "pos"], kind="mergesort")
+        # equal-length union: a doc's first hit covers L chars, each
+        # later one min(gap, L)
+        hid, hpos = hit[id_col].to_numpy(), hit["pos"].to_numpy(np.int64)
+        first = np.r_[True, hid[1:] != hid[:-1]] if len(hid) else np.zeros(0, bool)
+        gain = np.where(first, L, np.minimum(np.diff(hpos, prepend=0), L))
+        per = pd.DataFrame({id_col: hid, "g": gain}).groupby(id_col)["g"]
+        n_rep = per.size().reindex(docs[id_col], fill_value=0).to_numpy(np.int64)
+        covered = per.sum().reindex(docs[id_col], fill_value=0).to_numpy(np.int64)
+        n_chars = docs["n_chars"].to_numpy(np.int64)
         return pd.DataFrame({
-            id_col: ids,
+            id_col: docs[id_col].to_numpy(),
             "n_chars": n_chars,
-            "n_rep_grams": np.array(out_rep, dtype=np.int64),
+            "n_rep_grams": n_rep,
             "covered_chars": covered,
             "dup_ppm": np.where(
                 n_chars > 0,
@@ -2042,4 +1930,5 @@ def substr_dup_coverage(ds, *, id_col: str = "doc_id",
                 np.int64(0)).astype(np.int64),
         })
 
-    return ds.map_batches(score, batch_format="pandas")
+    return lookup_docs(ds, rep, "h", gram_rows, cover, doc_col=id_col,
+                       how="mark")

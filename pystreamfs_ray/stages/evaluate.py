@@ -19,8 +19,8 @@ a prior global sort.
 
 Output: one row per (kernel, conv_id, window_id) with ``acc``.
 
-The per-entity replication cap is broadcast when it passes
-``util.fits_broadcast`` (the one broadcast gate), else hash-joined.
+The per-entity replication cap reaches the feature rows through
+``stages/joins.lookup`` (broadcast when it fits, else a hash join).
 
 A standalone operator (driver query ``q_eval_salted``): the flagship
 pipeline evaluates inline in the selector fold, because routing the
@@ -37,9 +37,9 @@ import pyarrow.compute as pc
 
 from pystreamfs_ray.models import MODELS, gather_selected
 from pystreamfs_ray.schema import FEATURE_COLS, LABEL_COL
+from pystreamfs_ray.stages.joins import lookup
 from pystreamfs_ray.stages.window import lag_delta_seconds
-from pystreamfs_ray.util import (bucket_array, drop_empty_blocks,
-                                 fits_broadcast, shuffle_partitions)
+from pystreamfs_ray.util import bucket_array
 
 
 def evaluate_windows(
@@ -119,49 +119,22 @@ def evaluate_windows(
 
     # Replication cap: a row never needs chunks beyond its entity's last
     # window. The per-entity max window comes from the (small) specs side
-    # — broadcast once when it fits; above the gate (10^9 entities
-    # would be a driver-side materialization) fall back to a distributed
-    # hash join of the cap onto the feature rows. Without the cap every
-    # SHORT conversation would be replicated 1 + hist/chunk times and
-    # the shuffle volume explodes.
-    import ray
+    # and is looked up per feature row (inner: an entity without specs
+    # has nothing to evaluate). Without the cap every SHORT conversation
+    # would be replicated 1 + hist/chunk times and the shuffle volume
+    # explodes.
     from ray.data.aggregate import Max
 
-    maxw_ds = (
-        specs_ds.groupby(entity_col)
-        .aggregate(Max("window_id", alias_name="__maxw"))
-        .materialize()
-    )
-    if fits_broadcast(maxw_ds):
-        maxw_pdf = maxw_ds.to_pandas()
-        maxw_ref = ray.put(
-            dict(zip(maxw_pdf[entity_col], maxw_pdf["__maxw"].astype(np.int64)))
-        )
+    maxw_ds = (specs_ds.groupby(entity_col)
+               .aggregate(Max("window_id", alias_name="__maxw")))
 
-        def explode_features_capped(t: pa.Table) -> pa.Table:
-            maxw = ray.get(maxw_ref)
-            ents = t[entity_col].to_pylist()
-            cap = np.fromiter((maxw.get(e, 0) for e in ents), dtype=np.int64,
-                              count=len(ents)) // chunk_windows
-            return explode_features(t, cap)
+    def explode_features_capped(t: pa.Table) -> pa.Table:
+        cap = (pc.cast(t["__maxw"], pa.int64()).to_numpy(zero_copy_only=False)
+               // chunk_windows)
+        return explode_features(t.drop_columns(["__maxw"]), cap)
 
-        lt = features_ds.map_batches(explode_features_capped, batch_format="pyarrow")
-    else:
-        num_partitions = shuffle_partitions()
-        capped = features_ds.join(
-            drop_empty_blocks(maxw_ds, num_partitions),
-            join_type="inner", num_partitions=num_partitions,
-            on=(entity_col,), right_on=(entity_col,),
-        )
-
-        def explode_features_joined(t: pa.Table) -> pa.Table:
-            cap = (
-                pc.cast(t["__maxw"], pa.int64()).to_numpy(zero_copy_only=False)
-                // chunk_windows
-            )
-            return explode_features(t.drop_columns(["__maxw"]), cap)
-
-        lt = capped.map_batches(explode_features_joined, batch_format="pyarrow")
+    lt = lookup(features_ds, maxw_ds, entity_col).map_batches(
+        explode_features_capped, batch_format="pyarrow")
     rt = specs_ds.map_batches(explode_specs, batch_format="pyarrow")
     both = lt.union(rt)
 

@@ -6,8 +6,8 @@ Scorer classes do their setup (compile patterns, build stopword or
 weight tables) once in ``__init__``, when the stage is built; the
 instance ships with the stage and runs as stateless tasks. The
 operators that need a vocabulary-sized count table (TF-IDF, PMI, the
-unigram and bigram LMs) broadcast it when it passes
-``util.fits_broadcast`` and hash-join it otherwise.
+unigram and bigram LMs) look it up through ``stages/joins.lookup`` /
+``lookup_docs``: broadcast when it fits, hash-joined otherwise.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from pystreamfs_ray.stages.joins import KeyedSide, lookup, lookup_docs
 from pystreamfs_ray.util import RE2_SPACE, byte_class_counts, combine_sum
 
 _F64 = pa.float64()
@@ -359,15 +360,13 @@ def tfidf_top_term(ds, *, id_col: str = "doc_id", text_col: str = "text",
     Scale shape: document frequencies are pre-aggregated inside each
     batch (distinct (doc, term) → per-term partial counts — the
     combiner pattern), so the first shuffle is a vocabulary-sized
-    groupby-sum. When the df table passes ``util.fits_broadcast`` it is
-    broadcast once (``ray.put``) and the scoring pass is doc-local.
-    Otherwise (web-corpus vocab, 10⁸+ terms — a driver OOM
-    if pulled), the df table never leaves the cluster: per-doc term
-    counts hash-join the df Dataset on the term, and the per-doc top-1
-    reduces through fixed hash buckets (vectorized across the many
-    docs in each bucket — no per-doc Python call)."""
-    import ray
-
+    groupby-sum. The scoring pass is a ``stages/joins.lookup_docs``
+    over per-doc term counts: when the df table fits it is broadcast
+    and scoring is doc-local; otherwise (web-corpus vocab, 10⁸+ terms —
+    a driver OOM if pulled) the df table never leaves the cluster: the
+    term counts hash-join it and the per-doc top-1 reduces through
+    ``doc_buckets`` hash buckets (vectorized across the many docs in
+    each bucket — no per-doc Python call)."""
     n_docs = ds.count()
 
     def df_partials(df: pd.DataFrame) -> pd.DataFrame:
@@ -379,46 +378,6 @@ def tfidf_top_term(ds, *, id_col: str = "doc_id", text_col: str = "text",
         pairs = pd.DataFrame({"d": wdoc, "w": wflat}).drop_duplicates()
         vc = pairs["w"].value_counts()
         return pd.DataFrame({"w": vc.index.to_numpy(), "df": vc.to_numpy()})
-
-    from pystreamfs_ray.util import (arrow_combiner, bucket_array,
-                                     fits_broadcast, shuffle_partitions)
-
-    df_tbl_ds = combine_sum(ds, df_partials, "w", ["df"]).materialize()
-
-    if fits_broadcast(df_tbl_ds):
-        df_tbl = df_tbl_ds.to_pandas()
-        order = np.argsort(df_tbl["w"].to_numpy())
-        vocab = df_tbl["w"].to_numpy()[order]
-        dfs = df_tbl["df"].to_numpy()[order].astype(np.float64)
-        ref = ray.put((vocab, dfs))
-
-        def score(df: pd.DataFrame) -> pd.DataFrame:
-            vocab, dfs = ray.get(ref)
-            idf = np.log((n_docs + 1.0) / (dfs + 1.0)) + 1.0
-            words = df[text_col].str.findall(r"\S+")
-            wlen = words.str.len().to_numpy(dtype=np.int64)
-            wdoc = np.repeat(np.arange(len(df)), wlen)
-            wflat = np.fromiter((x for sub in words for x in sub), dtype=object,
-                                count=int(wlen.sum()))
-            tf = (pd.DataFrame({"d": wdoc, "w": wflat})
-                  .groupby(["d", "w"], sort=False).size().rename("tf").reset_index())
-            pos = np.searchsorted(vocab, tf["w"].to_numpy())
-            s = np.round(tf["tf"].to_numpy(dtype=np.float64) * idf[pos], 6)
-            tf["score"] = s
-            # top-1 per doc by (score desc, term asc) — lexsort is stable
-            tf = tf.sort_values(["d", "score", "w"],
-                                ascending=[True, False, True], kind="mergesort")
-            top = tf.groupby("d", sort=False).head(1)
-            return pd.DataFrame({
-                id_col: df[id_col].to_numpy()[top["d"].to_numpy()],
-                "top_term": top["w"].to_numpy(),
-                "score": top["score"].to_numpy(),
-            })
-
-        return ds.map_batches(score, batch_format="pandas")
-
-    # ---- join path: the vocab stays distributed -----------------------
-    num_partitions = shuffle_partitions()
 
     def tf_rows(df: pd.DataFrame) -> pd.DataFrame:
         words = df[text_col].str.findall(r"\S+")
@@ -434,38 +393,25 @@ def tfidf_top_term(ds, *, id_col: str = "doc_id", text_col: str = "text",
             "tf": tf["tf"].to_numpy(np.int64),
         })
 
-    from pystreamfs_ray.util import drop_empty_blocks
-
-    tf_ds = ds.map_batches(arrow_combiner(tf_rows), batch_format="pyarrow")
-    # df_tbl_ds is an aggregate output — schema-less empty blocks
-    # break the hash join (util.drop_empty_blocks)
-    joined = tf_ds.join(drop_empty_blocks(df_tbl_ds, num_partitions),
-                        join_type="inner",
-                        num_partitions=num_partitions, on=("w",))
-
-    def score_and_bucket(df: pd.DataFrame) -> pd.DataFrame:
+    def top1(df: pd.DataFrame) -> pd.DataFrame:
         idf = np.log((n_docs + 1.0) / (df["df"].to_numpy(np.float64) + 1.0)) + 1.0
-        out = pd.DataFrame({
+        g = pd.DataFrame({
             id_col: df[id_col].to_numpy(),
             "w": df["w"].to_numpy(),
             "score": np.round(df["tf"].to_numpy(np.float64) * idf, 6),
         })
-        out["__b"] = bucket_array(out[id_col].to_numpy(), doc_buckets)
-        return out
-
-    def top1(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([id_col, "score", "w"],
-                          ascending=[True, False, True], kind="mergesort")
-        top = g.groupby(id_col, sort=False).head(1)
+        # top-1 per doc by (score desc, term asc)
+        top = (g.sort_values([id_col, "score", "w"],
+                             ascending=[True, False, True], kind="mergesort")
+               .groupby(id_col, sort=False).head(1))
         return pd.DataFrame({
             id_col: top[id_col].to_numpy(),
             "top_term": top["w"].to_numpy(),
             "score": top["score"].to_numpy(),
         })
 
-    return (joined.map_batches(arrow_combiner(score_and_bucket),
-                               batch_format="pyarrow")
-            .groupby("__b").map_groups(top1, batch_format="pandas"))
+    return lookup_docs(ds, combine_sum(ds, df_partials, "w", ["df"]), "w",
+                       tf_rows, top1, doc_col=id_col, buckets=doc_buckets)
 
 
 def pmi_bigrams(ds, *, text_col: str = "text", min_count: int = 5,
@@ -478,15 +424,11 @@ def pmi_bigrams(ds, *, text_col: str = "text", min_count: int = 5,
 
     Scale shape: two combiner aggregations (per-batch bigram and
     unigram ``value_counts`` → groupby-sum), so the shuffles are
-    vocab²- and vocab-sized, never corpus-sized. When the unigram table
-    passes ``util.fits_broadcast`` it and the two scalar totals
-    broadcast into the vectorized finish; otherwise
-    (web vocab, ~10⁸ terms — a driver OOM if pulled) the
-    ``min_count``-filtered bigram table hash-joins the unigram Dataset
-    on w1 then w2 — same results, two more shuffles, nothing
-    vocab-sized on the driver."""
-    import ray
-
+    vocab²- and vocab-sized, never corpus-sized. The ``min_count``-
+    filtered bigram table looks up the unigram counts of w1, then w2
+    (``stages/joins.lookup``: broadcast once when the unigram table
+    fits, else two hash joins — web vocab, ~10⁸ terms, nothing
+    vocab-sized on the driver), then one vectorized finish."""
     toks = ds.select_columns([text_col])
 
     def bigram_partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -519,10 +461,8 @@ def pmi_bigrams(ds, *, text_col: str = "text", min_count: int = 5,
         return arrow_block(pd.DataFrame({"w": vc.index,
                                          "cu": vc.to_numpy(np.int64)}))
 
-    from pystreamfs_ray.util import fits_broadcast, shuffle_partitions
-
-    uni_ds = combine_sum(toks, unigram_partial, "w", ["cu"]).materialize()
-    n_tokens = int(uni_ds.sum("cu") or 0)
+    uni = KeyedSide(combine_sum(toks, unigram_partial, "w", ["cu"]), "w")
+    n_tokens = int(uni.ds.sum("cu") or 0)
     big = combine_sum(toks, bigram_partial, ["w1", "w2"], ["c"])
     # M without a third pass: bigrams = tokens - one seam per non-empty doc
     n_docs_nonempty = int(toks.map_batches(
@@ -531,67 +471,24 @@ def pmi_bigrams(ds, *, text_col: str = "text", min_count: int = 5,
         batch_format="pandas").sum("ne") or 0)
     m_bigrams = n_tokens - n_docs_nonempty
 
-    def _pmi_frame(w1, w2, c, cx, cy) -> pd.DataFrame:
-        pmi = np.log(c.astype(np.float64) * n_tokens * n_tokens
-                     / (m_bigrams * cx * cy))
-        return pd.DataFrame({"w1": w1, "w2": w2,
-                             "c": c.astype(np.int64),
-                             "pmi": np.round(pmi, ndigits)})
-
-    if fits_broadcast(uni_ds):
-        from pystreamfs_ray.util import ensure_cols
-
-        uni = ensure_cols(uni_ds.to_pandas(), {"w": object, "cu": np.int64})
-        # zip the Series itself: its values come out as Python ints,
-        # which pickle in about half the bytes of numpy int64 scalars
-        ref = ray.put(dict(zip(uni["w"], uni["cu"])))
-
-        def finish(df: pd.DataFrame) -> pd.DataFrame:
-            lut = ray.get(ref)
-            if "c" in df.columns:
-                df = df[df["c"] >= min_count]
-            if len(df) == 0 or "c" not in df.columns:
-                return pd.DataFrame({"w1": [], "w2": [],
-                                     "c": pd.Series([], dtype=np.int64),
-                                     "pmi": pd.Series([], dtype=np.float64)})
-            cx = df["w1"].map(lut).to_numpy(np.float64)
-            cy = df["w2"].map(lut).to_numpy(np.float64)
-            return _pmi_frame(df["w1"].to_numpy(), df["w2"].to_numpy(),
-                              df["c"].to_numpy(np.int64), cx, cy)
-
-        return big.map_batches(finish, batch_format="pandas")
-
-    # ---- join path: unigram counts stay distributed --------------------
-    num_partitions = shuffle_partitions()
-    from pystreamfs_ray.util import drop_empty_blocks
-
-    # prune BEFORE the joins: only bigrams that can appear in the output
-    big = drop_empty_blocks(big.filter(expr=f"c >= {min_count}"),
-                            num_partitions)
-    uni_guarded = drop_empty_blocks(uni_ds, num_partitions)
-    uni1 = uni_guarded.map_batches(
-        lambda t: t.rename_columns(["w1", "cu1"]), batch_format="pyarrow")
-    uni2 = uni_guarded.map_batches(
-        lambda t: t.rename_columns(["w2", "cu2"]), batch_format="pyarrow")
-    joined = big.join(uni1, join_type="inner",
-                      num_partitions=num_partitions, on=("w1",))
-    # a join's own empty partitions are schema-less too — guard between
-    # chained joins
-    joined = drop_empty_blocks(joined, num_partitions).join(
-        uni2, join_type="inner",
-        num_partitions=num_partitions, on=("w2",))
-
-    def finish_joined(df: pd.DataFrame) -> pd.DataFrame:
+    def finish(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0 or "c" not in df.columns:
             return pd.DataFrame({"w1": [], "w2": [],
                                  "c": pd.Series([], dtype=np.int64),
                                  "pmi": pd.Series([], dtype=np.float64)})
-        return _pmi_frame(df["w1"].to_numpy(), df["w2"].to_numpy(),
-                          df["c"].to_numpy(np.int64),
-                          df["cu1"].to_numpy(np.float64),
-                          df["cu2"].to_numpy(np.float64))
+        c = df["c"].to_numpy(np.int64)
+        pmi = np.log(c.astype(np.float64) * n_tokens * n_tokens
+                     / (m_bigrams * df["cu1"].to_numpy(np.float64)
+                        * df["cu2"].to_numpy(np.float64)))
+        return pd.DataFrame({"w1": df["w1"].to_numpy(),
+                             "w2": df["w2"].to_numpy(), "c": c,
+                             "pmi": np.round(pmi, ndigits)})
 
-    return joined.map_batches(finish_joined, batch_format="pandas")
+    # prune BEFORE the lookups: only bigrams that can appear in the output
+    big = big.filter(expr=f"c >= {min_count}")
+    big = lookup(big, uni, "w1", rename={"cu": "cu1"})
+    big = lookup(big, uni, "w2", rename={"cu": "cu2"})
+    return big.map_batches(finish, batch_format="pandas")
 
 
 class LinearScorer:
@@ -710,17 +607,12 @@ def unigram_logprob(ds, *, id_col: str = "doc_id", text_col: str = "text",
     Low = common/templated text, high = rare-token noise; both tails
     are filter candidates. Docs with no tokens are omitted.
 
-    Scale shape: one vocab-sized combiner aggregate for the counts;
-    when the count table passes ``util.fits_broadcast`` it broadcasts
-    and scoring is doc-local (zero further shuffles); otherwise the (doc, term, tf) rows hash-join the count Dataset and reduce
-    per doc with a C-backed grouped sum — nothing vocab-sized on the
+    Scale shape: one vocab-sized combiner aggregate for the counts,
+    then a ``stages/joins.lookup_docs`` of each doc's (term, tf) rows:
+    when the count table fits it is broadcast and scoring is doc-local
+    (zero further shuffles); otherwise the rows hash-join the count
+    Dataset and reduce per doc bucket — nothing vocab-sized on the
     driver (same switch as ``tfidf_top_term``)."""
-    import ray
-    from ray.data.aggregate import Sum
-
-    from pystreamfs_ray.util import (arrow_combiner, fits_broadcast,
-                                     shuffle_partitions)
-
     def count_partial(df: pd.DataFrame) -> pd.DataFrame:
         s = df[text_col].str.findall(r"\S+")
         n = s.map(len).to_numpy(np.int64)
@@ -731,48 +623,15 @@ def unigram_logprob(ds, *, id_col: str = "doc_id", text_col: str = "text",
         return pd.DataFrame({"w": vc.index.to_numpy(),
                              "c": vc.to_numpy(np.int64)})
 
-    counts_ds = (combine_sum(ds.select_columns([text_col]), count_partial, "w",
-                             ["c"])
-                 .materialize())
-    n_total = float(counts_ds.sum("c") or 0)
+    counts = KeyedSide(combine_sum(ds.select_columns([text_col]),
+                                   count_partial, "w", ["c"]), "w")
+    n_total = float(counts.ds.sum("c") or 0)
     if n_total == 0:
         return ds.map_batches(
             lambda df: pd.DataFrame({id_col: df[id_col],
                                      "n_tokens": np.zeros(len(df), np.int64),
                                      "nll": np.zeros(len(df))}).iloc[0:0],
             batch_format="pandas")
-
-    if fits_broadcast(counts_ds):
-        cdf = counts_ds.to_pandas()
-        order = np.argsort(cdf["w"].to_numpy())
-        ref = ray.put((cdf["w"].to_numpy()[order],
-                       cdf["c"].to_numpy()[order].astype(np.float64)))
-
-        def score(df: pd.DataFrame) -> pd.DataFrame:
-            vocab, cnt = ray.get(ref)
-            logp = np.log(cnt / n_total)
-            s = df[text_col].str.findall(r"\S+")
-            n = s.map(len).to_numpy(np.int64)
-            keep = n > 0
-            if not keep.any():
-                return pd.DataFrame({id_col: df[id_col].iloc[0:0],
-                                     "n_tokens": pd.Series([], dtype=np.int64),
-                                     "nll": pd.Series([], dtype=np.float64)})
-            flat = np.concatenate(
-                [np.asarray(v, dtype=object) for v in s[keep]])
-            pos = np.searchsorted(vocab, flat)
-            sums = np.add.reduceat(
-                logp[pos], np.concatenate(([0], np.cumsum(n[keep])[:-1])))
-            return pd.DataFrame({
-                id_col: df[id_col].to_numpy()[keep],
-                "n_tokens": n[keep],
-                "nll": np.round(-sums / n[keep], ndigits),
-            })
-
-        return ds.map_batches(score, batch_format="pandas")
-
-    # join path: counts stay distributed
-    num_partitions = shuffle_partitions()
 
     def tf_rows(df: pd.DataFrame) -> pd.DataFrame:
         s = df[text_col].str.findall(r"\S+")
@@ -792,38 +651,21 @@ def unigram_logprob(ds, *, id_col: str = "doc_id", text_col: str = "text",
             "n_tokens": n[tf["d"].to_numpy()],
         })
 
-    tf_ds = ds.map_batches(arrow_combiner(tf_rows), batch_format="pyarrow")
-    from pystreamfs_ray.util import drop_empty_blocks
-
-    joined = tf_ds.join(drop_empty_blocks(counts_ds, num_partitions),
-                        join_type="inner",
-                        num_partitions=num_partitions, on=("w",))
-
-    def weighted(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            id_col: df[id_col].to_numpy(),
-            "n_tokens": df["n_tokens"].to_numpy(np.int64),
-            "wl": df["tf"].to_numpy(np.float64)
-                  * np.log(df["c"].to_numpy(np.float64) / n_total),
-        })
-
-    from ray.data.aggregate import Max
-
-    per_doc = (joined.map_batches(arrow_combiner(weighted),
-                                  batch_format="pyarrow")
-               .groupby(id_col)
-               .aggregate(Sum("wl", alias_name="wl"),
-                          Max("n_tokens", alias_name="n_tokens")))
-
     def finish(df: pd.DataFrame) -> pd.DataFrame:
-        n = df["n_tokens"].to_numpy(np.float64)
+        # (doc, term) order: the per-doc sums add in the same order
+        # whichever path delivered the rows
+        df = df.sort_values([id_col, "w"], kind="mergesort")
+        df["wl"] = (df["tf"].to_numpy(np.float64)
+                    * np.log(df["c"].to_numpy(np.float64) / n_total))
+        g = df.groupby(id_col, sort=False)
+        wl, n = g["wl"].sum(), g["n_tokens"].first().to_numpy(np.int64)
         return pd.DataFrame({
-            id_col: df[id_col].to_numpy(),
-            "n_tokens": df["n_tokens"].to_numpy(np.int64),
-            "nll": np.round(-df["wl"].to_numpy(np.float64) / n, ndigits),
+            id_col: wl.index.to_numpy(),
+            "n_tokens": n,
+            "nll": np.round(-wl.to_numpy(np.float64) / n, ndigits),
         })
 
-    return per_doc.map_batches(finish, batch_format="pandas")
+    return lookup_docs(ds, counts, "w", tf_rows, finish, doc_col=id_col)
 
 
 def bigram_logprob(ds, *, id_col: str = "doc_id", text_col: str = "text",
@@ -839,17 +681,13 @@ def bigram_logprob(ds, *, id_col: str = "doc_id", text_col: str = "text",
 
     Scale shape: one unigram- and one bigram-sized combiner aggregate
     (shuffles are vocab- and bigram-vocab-sized, never corpus-sized).
-    When the combined count table passes ``util.fits_broadcast`` both
-    tables broadcast and scoring is doc-local; otherwise (web corpus —
-    a driver OOM if pulled) the per-doc (bigram, tf) rows hash-join the
-    two count Datasets and reduce per doc, same switch as
+    Both tables are keyed ``w1 SEP w2`` (unigrams ``w1 SEP``), and each
+    doc pair becomes a +tf row on its bigram key and a -tf row on its
+    w1 key, so the score is one ``stages/joins.lookup_docs``
+    ``Σ wt·ln(c)`` per doc: broadcast and doc-local when the count
+    table fits, otherwise (web corpus — a driver OOM if pulled) a hash
+    join and a per-doc-bucket reduce, same switch as
     ``unigram_logprob``/``tfidf_top_term``."""
-    import ray
-    from ray.data.aggregate import Sum
-
-    from pystreamfs_ray.util import (arrow_combiner, fits_broadcast,
-                                     shuffle_partitions)
-
     SEP = "\x1f"
     toks = ds.select_columns([id_col, text_col])
 
@@ -897,133 +735,51 @@ def bigram_logprob(ds, *, id_col: str = "doc_id", text_col: str = "text",
             parts.append(bp[["w1", "w2", "cu", "cb"]])
         return pd.concat(parts, ignore_index=True)
 
-    counts = (combine_sum(toks, count_partial, ["w1", "w2"], ["cu", "cb"])
-              .materialize())
+    def keyed_counts(t: pa.Table) -> pa.Table:
+        return pa.table({"k": pc.binary_join_element_wise(t["w1"], t["w2"], SEP),
+                         "c": pc.add(t["cu"], t["cb"])})
 
-    # gate on the combined (unigram + bigram) count table
-    if fits_broadcast(counts):
-        from pystreamfs_ray.util import ensure_cols
+    counts = combine_sum(toks, count_partial, ["w1", "w2"], ["cu", "cb"]) \
+        .map_batches(keyed_counts, batch_format="pyarrow")
 
-        cdf = ensure_cols(counts.to_pandas(),
-                          {"w1": object, "w2": object,
-                           "cu": np.int64, "cb": np.int64})
-        is_uni = (cdf["w2"].astype(str) == "").to_numpy()
-        bdf = cdf[~is_uni]
-        udf = pd.DataFrame({"w": cdf.loc[is_uni, "w1"].to_numpy(),
-                            "cu": cdf.loc[is_uni, "cu"].to_numpy(np.int64)})
-        bkey = (bdf["w1"].astype(str) + SEP + bdf["w2"].astype(str)).to_numpy()
-        border = np.argsort(bkey)
-        uorder = np.argsort(udf["w"].to_numpy())
-        ref = ray.put((bkey[border],
-                       bdf["cb"].to_numpy()[border].astype(np.float64),
-                       udf["w"].to_numpy()[uorder],
-                       udf["cu"].to_numpy()[uorder].astype(np.float64)))
-
-        def score(df: pd.DataFrame) -> pd.DataFrame:
-            bvoc, cb, uvoc, cu = ray.get(ref)
-            s = df[text_col].str.findall(r"\S+")
-            n = s.map(len).to_numpy(np.int64)
-            npairs = np.maximum(n - 1, 0)
-            out_empty = pd.DataFrame({
-                id_col: df[id_col].iloc[0:0],
-                "n_tokens": pd.Series([], dtype=np.int64),
-                "nll": pd.Series([], dtype=np.float64)})
-            if int(npairs.sum()) == 0:
-                return out_empty
-            pr = _pairs(s, n)
-            w1, w2 = pr
-            key = np.char.add(np.char.add(w1.astype(str), SEP),
-                              w2.astype(str))
-            lp = (np.log(cb[np.searchsorted(bvoc, key)])
-                  - np.log(cu[np.searchsorted(uvoc, w1)]))
-            docpair = np.repeat(np.arange(len(df)), npairs)
-            sums = np.bincount(docpair, weights=lp, minlength=len(df))
-            mask = npairs > 0
-            return pd.DataFrame({
-                id_col: df[id_col].to_numpy()[mask],
-                "n_tokens": n[mask],
-                "nll": np.round(-sums[mask] / npairs[mask], ndigits),
-            })
-
-        return toks.map_batches(score, batch_format="pandas")
-
-    # join path: both count tables stay distributed
-    num_partitions = shuffle_partitions()
-
-    def tf_rows(df: pd.DataFrame) -> pd.DataFrame:
+    def rows(df: pd.DataFrame) -> pd.DataFrame:
         s = df[text_col].str.findall(r"\S+")
         n = s.map(len).to_numpy(np.int64)
         npairs = np.maximum(n - 1, 0)
-        empty = pd.DataFrame({id_col: pd.Series([], dtype=df[id_col].dtype),
-                              "w1": pd.Series([], dtype=object),
-                              "w2": pd.Series([], dtype=object),
-                              "tf": pd.Series([], dtype=np.int64),
-                              "n_tokens": pd.Series([], dtype=np.int64)})
         if int(npairs.sum()) == 0:
-            return empty
-        pr = _pairs(s, n)
-        docpair = np.repeat(np.arange(len(df)), npairs)
-        tf = (pd.DataFrame({"d": docpair, "w1": pr[0], "w2": pr[1]})
-              .groupby(["d", "w1", "w2"], sort=False).size()
-              .rename("tf").reset_index())
-        d = tf["d"].to_numpy()
-        return pd.DataFrame({
-            id_col: df[id_col].to_numpy()[d],
-            "w1": tf["w1"].to_numpy(), "w2": tf["w2"].to_numpy(),
-            "tf": tf["tf"].to_numpy(np.int64),
-            "n_tokens": n[d],
-        })
-
-    from pystreamfs_ray.util import drop_empty_blocks
-
-    def _only_big(t: pa.Table) -> pa.Table:
-        return t.filter(pc.invert(pc.equal(t["w2"], ""))) \
-                .drop_columns(["cu"])
-
-    def _only_uni(t: pa.Table) -> pa.Table:
-        return t.filter(pc.equal(t["w2"], "")) \
-                .drop_columns(["w2", "cb"])  # already (w1, cu)
-
-    tf_ds = toks.map_batches(arrow_combiner(tf_rows), batch_format="pyarrow")
-    big_j = drop_empty_blocks(
-        counts.map_batches(_only_big, batch_format="pyarrow"),
-        num_partitions)
-    uni1 = drop_empty_blocks(
-        counts.map_batches(_only_uni, batch_format="pyarrow"),
-        num_partitions)
-    joined = drop_empty_blocks(
-        tf_ds.join(big_j, join_type="inner",
-                   num_partitions=num_partitions, on=("w1", "w2")),
-        num_partitions).join(uni1, join_type="inner",
-                             num_partitions=num_partitions, on=("w1",))
-
-    def weighted(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            id_col: df[id_col].to_numpy(),
-            "n_tokens": df["n_tokens"].to_numpy(np.int64),
-            "wl": df["tf"].to_numpy(np.float64)
-                  * (np.log(df["cb"].to_numpy(np.float64))
-                     - np.log(df["cu"].to_numpy(np.float64))),
-        })
-
-    from ray.data.aggregate import Max
-
-    per_doc = (joined.map_batches(arrow_combiner(weighted),
-                                  batch_format="pyarrow")
-               .groupby(id_col)
-               .aggregate(Sum("wl", alias_name="wl"),
-                          Max("n_tokens", alias_name="n_tokens")))
+            return pd.DataFrame({id_col: pd.Series([], dtype=df[id_col].dtype),
+                                 "k": pd.Series([], dtype=object),
+                                 "wt": pd.Series([], dtype=np.int64),
+                                 "n_tokens": pd.Series([], dtype=np.int64)})
+        w1, w2 = (pd.Series(w) for w in _pairs(s, n))
+        d = np.repeat(np.arange(len(df)), npairs)
+        wt = (pd.DataFrame({"d": np.concatenate([d, d]),
+                            "k": np.concatenate([(w1 + SEP + w2).to_numpy(),
+                                                 (w1 + SEP).to_numpy()]),
+                            "wt": np.repeat(np.array([1, -1], np.int64), len(d))})
+              .groupby(["d", "k"], sort=False)["wt"].sum().reset_index())
+        d = wt["d"].to_numpy()
+        return pd.DataFrame({id_col: df[id_col].to_numpy()[d],
+                             "k": wt["k"].to_numpy(),
+                             "wt": wt["wt"].to_numpy(np.int64),
+                             "n_tokens": n[d]})
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
-        n = df["n_tokens"].to_numpy(np.int64)
+        # (doc, key) order: the per-doc sums add in the same order
+        # whichever path delivered the rows
+        df = df.sort_values([id_col, "k"], kind="mergesort")
+        df["wl"] = (df["wt"].to_numpy(np.float64)
+                    * np.log(df["c"].to_numpy(np.float64)))
+        g = df.groupby(id_col, sort=False)
+        wl, n = g["wl"].sum(), g["n_tokens"].first().to_numpy(np.int64)
         return pd.DataFrame({
-            id_col: df[id_col].to_numpy(),
+            id_col: wl.index.to_numpy(),
             "n_tokens": n,
-            "nll": np.round(-df["wl"].to_numpy(np.float64)
+            "nll": np.round(-wl.to_numpy(np.float64)
                             / (n - 1).astype(np.float64), ndigits),
         })
 
-    return per_doc.map_batches(finish, batch_format="pandas")
+    return lookup_docs(toks, counts, "k", rows, finish, doc_col=id_col)
 
 
 def document_frequency(ds, *, id_col: str = "doc_id",

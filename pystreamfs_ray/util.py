@@ -1,5 +1,5 @@
-"""Small shared helpers (hashing, bucketing, fingerprints, and the one
-broadcast-or-shuffle gate every stage that gathers a small side uses)."""
+"""Small shared helpers (hashing, bucketing, fingerprints, combiners,
+and the partition count of every distributed join)."""
 
 from __future__ import annotations
 
@@ -24,13 +24,6 @@ def stable_hash64(*parts: Any) -> int:
 
 
 _HASH_KEY = "pystreamfs_ray03"  # fixed 16-byte key → deterministic across processes
-
-
-def bucket_of(key: str, num_buckets: int) -> int:
-    import pandas as pd
-
-    h = pd.util.hash_array(np.asarray([str(key)], dtype=object), hash_key=_HASH_KEY)
-    return int(h[0] % np.uint64(num_buckets))
 
 
 def bucket_array(keys, num_buckets: int) -> np.ndarray:
@@ -292,32 +285,9 @@ def drop_empty_blocks(ds, num_blocks: int):
     return ds.repartition(num_blocks)
 
 
-# Largest small side (in-memory bytes, from block metadata) that a stage
-# gathers into the calling process and broadcasts (``ray.put``) instead
-# of keeping it distributed (a hash join or shuffle). It bounds the
-# gather, the Python structures built from it, and the copy each node
-# keeps in its object store. At 32 MiB the sites that broadcast a
-# Python dict peak the gathering process at ~0.5 GiB of RSS
-# (``evaluate_windows``, ``pmi_bigrams``) and ~0.3 GiB
-# (``minhash_lsh_pairs``). 32 MiB was picked while ``pmi_bigrams``'
-# dict held numpy int64 values, which took it past 2 GiB at 64 MiB;
-# its 64 MiB peak with Python ints is unmeasured. Tests patch it to
-# force either side.
-BROADCAST_MAX_BYTES = 32 * 1024 * 1024
-
-
-def fits_broadcast(ds) -> bool:
-    """The one broadcast-or-shuffle gate: True when the MATERIALIZED
-    ``ds`` holds no rows or at most ``BROADCAST_MAX_BYTES`` in memory.
-    Reads block metadata only — no ``count()``/``schema()`` execution."""
-    metas = [meta for bundle in ds.iter_internal_ref_bundles()
-             for _, meta in bundle.blocks]
-    return (sum(m.size_bytes or 0 for m in metas) <= BROADCAST_MAX_BYTES
-            or not any(m.num_rows for m in metas))
-
-
 def shuffle_partitions() -> int:
-    """Partition count for the distributed side of every broadcast gate:
+    """Partition count for every distributed join (the off-broadcast
+    path of ``stages/joins.lookup`` among them):
     half the session's CPUs, clamped to [4, 64] (a join pool larger than
     a small session's CPUs stalls it; a tiny one bottlenecks a cluster)."""
     import ray

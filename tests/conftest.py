@@ -46,18 +46,34 @@ def synth_dirs(tmp_path_factory):
 
 @pytest.fixture
 def broadcast_paths(monkeypatch):
-    """Run a block on both sides of the one broadcast gate
-    (``util.fits_broadcast``): ``for path in broadcast_paths(): ...``
-    yields "broadcast", then "shuffle", with
-    ``util.BROADCAST_MAX_BYTES`` patched to force each;
+    """Run a block on both sides of the one broadcast-or-join gate
+    (``stages/joins.fits_broadcast``): ``for path in broadcast_paths():
+    ...`` yields "broadcast", then "shuffle", with
+    ``joins.BROADCAST_MAX_BYTES`` patched to force each;
     ``broadcast_paths("shuffle")`` runs only the named path. A side with
-    no rows is broadcast either way."""
-    import pystreamfs_ray.util as util
+    no rows is broadcast either way. After each leg the fixture asserts
+    that the block ran the gate and that every gate over a side with
+    rows took the named path, so a site that bypasses the gate fails."""
+    from pystreamfs_ray.stages import joins
+
+    gate = joins.fits_broadcast
 
     def paths(*only):
-        for name, gate in (("broadcast", 1 << 62), ("shuffle", -1)):
-            if not only or name in only:
-                monkeypatch.setattr(util, "BROADCAST_MAX_BYTES", gate)
-                yield name
+        for name, limit in (("broadcast", 1 << 62), ("shuffle", -1)):
+            if only and name not in only:
+                continue
+            taken = []
+
+            def spy(nbytes, nrows):
+                fits = gate(nbytes, nrows)
+                taken.append((fits, nrows))
+                return fits
+
+            monkeypatch.setattr(joins, "BROADCAST_MAX_BYTES", limit)
+            monkeypatch.setattr(joins, "fits_broadcast", spy)
+            yield name
+            assert taken, f"the {name} leg ran no broadcast gate"
+            wrong = [t for t in taken if t[1] and t[0] != (name == "broadcast")]
+            assert not wrong, f"gates off the {name} path: {wrong}"
 
     return paths

@@ -171,19 +171,21 @@ def test_pmi_bigrams_known_counts(ray_session):
     assert out["pmi"].tolist() == [want, want]
 
 
-def test_pmi_bigrams_broadcasts_python_ints(ray_session, monkeypatch,
-                                            broadcast_paths):
+def test_pmi_bigrams_broadcasts_unigrams_once(ray_session, monkeypatch,
+                                             broadcast_paths):
+    """The unigram table is put once, as the lookup's sorted keys plus
+    Arrow count rows — no per-entry Python dict — and both w1 and w2
+    probe that one copy."""
     import ray
     import ray.data as rd
 
     from pystreamfs_ray.stages.textstats import pmi_bigrams
 
     put = ray.put
-    dicts = []
+    puts = []
 
     def spy(obj, *args, **kwargs):
-        if isinstance(obj, dict):
-            dicts.append(obj)
+        puts.append(obj)
         return put(obj, *args, **kwargs)
 
     monkeypatch.setattr(ray, "put", spy)
@@ -192,10 +194,10 @@ def test_pmi_bigrams_broadcasts_python_ints(ray_session, monkeypatch,
         out = pmi_bigrams(rd.from_pandas(df).repartition(2),
                           min_count=2).to_pandas()
     assert len(out) == 2
-    # the unigram table: the one dict whose keys are the corpus words
-    luts = [d for d in dicts if set(d) == {"a", "b"}]
-    assert luts == [{"a": 3, "b": 3}]
-    assert all(type(v) is int for v in luts[0].values())
+    assert not any(isinstance(o, dict) for o in puts)
+    (keys, _, counts), = [o for o in puts if isinstance(o, tuple)]
+    assert list(keys) == ["a", "b"]
+    assert counts["cu"].to_pylist() == [3, 3]
 
 
 def test_feature_hash_slots_and_counts(ray_session):

@@ -1,7 +1,7 @@
-"""Source guards: the broadcast-or-shuffle decision, the fallback join
-partition count, the per-window memory probe, the combiner → Sum
-reduce and the prequential evaluators' feature gather each have one
-rule in the package, no function takes an option that overrides one,
+"""Source guards: the broadcast-or-join decision and its probe, the
+fallback join partition count, the per-window memory probe, the
+combiner → Sum reduce and the prequential evaluators' feature gather
+each have one rule in the package, no function takes an option that overrides one,
 and no module imports a name it never uses."""
 
 import ast
@@ -173,3 +173,57 @@ def test_evaluators_gather_only_through_gather_selected():
                 callers.add(name)
     assert found == []
     assert callers == EVALUATORS
+
+
+def test_no_raise_not_implemented():
+    """No operator refuses to run: every size-gated path has a real
+    distributed fallback."""
+    found = []
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = (node.exc.func if isinstance(node.exc, ast.Call)
+                       else node.exc)
+                if isinstance(exc, ast.Name) and exc.id == "NotImplementedError":
+                    found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
+def test_broadcast_gate_only_in_joins():
+    """``fits_broadcast`` and ``BROADCAST_MAX_BYTES`` belong to the one
+    broadcast-or-join helper; every other module goes through it."""
+    gate = {"fits_broadcast", "BROADCAST_MAX_BYTES"}
+    users = set()
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and node.id in gate
+                    or isinstance(node, ast.Attribute) and node.attr in gate
+                    or isinstance(node, ast.alias) and node.name in gate):
+                users.add(name)
+    assert users == {"stages/joins.py"}
+
+
+def test_no_searchsorted_membership_probe_outside_joins():
+    """The sorted-key membership probe (``searchsorted`` into ``a``,
+    then ``a[pos] == v``) is ``stages/joins._find``; the dedup and
+    decontamination stages use the lookup helper instead of a copy."""
+    found = []
+    for name, tree in _modules():
+        if name not in {"stages/decontam.py", "stages/dedup.py"}:
+            continue
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            searched = {c.args[0].id for c in ast.walk(fn)
+                        if isinstance(c, ast.Call)
+                        and isinstance(c.func, ast.Attribute)
+                        and c.func.attr == "searchsorted" and c.args
+                        and isinstance(c.args[0], ast.Name)}
+            for c in ast.walk(fn):
+                if (isinstance(c, ast.Compare)
+                        and any(isinstance(op, ast.Eq) for op in c.ops)
+                        and isinstance(c.left, ast.Subscript)
+                        and isinstance(c.left.value, ast.Name)
+                        and c.left.value.id in searched):
+                    found.append(f"{name}:{c.lineno}")
+    assert found == []

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pandas as pd
+import pytest
 import ray.data as rd
 
 
@@ -530,3 +531,31 @@ def test_q_bpe_encode_runs(ray_session):
             if "text" in out.columns else True)
     assert (out["n_tokens"] >= out["n_words"]).all()
     assert set(["doc_id", "n_words", "n_tokens"]) <= set(out.columns)
+
+
+@pytest.mark.parametrize("hash_kind", ["md5", "rolling"])
+def test_substr_dup_coverage_join_path_equals_broadcast(
+        ray_session, broadcast_paths, hash_kind):
+    """Above the gate the gram rows hash-join the repeated set; both
+    paths give the same rows, and docs with no repeated gram (and one
+    shorter than a gram) keep their zero-coverage row."""
+    from pystreamfs_ray.stages.dedup import substr_dup_coverage
+
+    shared = "the quick brown fox jumps over the lazy dog!"
+    df = pd.DataFrame({
+        "doc_id": np.arange(5, dtype=np.int64),
+        "text": [f"A start. {shared} A tail one.",
+                 f"B opening. {shared} B ending two.",
+                 "a wholly unrelated document about nothing at all",
+                 "short",
+                 f"{shared} and again {shared}"],
+    })
+    bc, sh = (substr_dup_coverage(rd.from_pandas(df).repartition(3),
+                                  gram_len=30, hash_kind=hash_kind)
+              .to_pandas().sort_values("doc_id", ignore_index=True)
+              for _ in broadcast_paths())
+    pd.testing.assert_frame_equal(bc, sh)
+    assert bc["doc_id"].tolist() == [0, 1, 2, 3, 4]
+    assert bc.loc[2:3, "covered_chars"].tolist() == [0, 0]
+    assert bc.loc[3, "n_chars"] == 5
+    assert (bc.loc[[0, 1, 4], "covered_chars"] >= 44).all()
