@@ -19,7 +19,8 @@ Stages and shuffles:
    kernels share (conv_id, ts_end) and the ``kernel`` column is not
    joined: the tie goes to the window that comes last in the window
    Dataset, on either path;
-4. metrics aggregation over the same materialized windows (tiny).
+4. metrics over the same materialized windows: one plain task per
+   window block, no Ray Data execution (``metrics.global_summary``).
 """
 
 from __future__ import annotations

@@ -6,22 +6,53 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow.compute as pc
+import ray
 
-from ray.data.aggregate import Count, Max, Mean, Sum
+from pystreamfs_ray.stages.joins import _to_arrow
+
+# summary column -> the selector-output column it averages
+_MEANS = {"time_avg_ms": "wall_ms", "memory_avg_bytes": "mem_bytes",
+          "fscr_avg": "fscr", "acc_avg": "acc"}
+
+
+def _block_partials(block) -> tuple:
+    """One block's partials: its row count, the (sum, non-null count)
+    of each averaged column, the sum of ``n_rows`` and the max of
+    ``window_id``. A sum or max over no values is None."""
+    t = _to_arrow(block)
+    if not t.num_rows:  # Ray may hand a zero-row block without a schema
+        return 0, [(None, 0)] * len(_MEANS), None, None
+    means = [(pc.sum(t[c]).as_py(), pc.count(t[c]).as_py())
+             for c in _MEANS.values()]
+    return (t.num_rows, means, pc.sum(t["n_rows"]).as_py(),
+            pc.max(t["window_id"]).as_py())
+
+
+def _present(values) -> list:
+    return [v for v in values if v is not None]
 
 
 def global_summary(selector_ds) -> pd.DataFrame:
-    """One-row DataFrame: window count, mean wall/fscr/acc, total rows
-    (``Dataset.aggregate`` returns a plain row dict)."""
-    row = selector_ds.aggregate(
-        Count(alias_name="n_windows"),
-        Mean("wall_ms", alias_name="time_avg_ms"),
-        Mean("mem_bytes", alias_name="memory_avg_bytes"),
-        Mean("fscr", alias_name="fscr_avg"),
-        Mean("acc", alias_name="acc_avg"),
-        Sum("n_rows", alias_name="rows_total"),
-        Max("window_id", alias_name="max_window_id"),
-    )
+    """One-row DataFrame: window count, mean wall/memory/fscr/acc, total
+    rows and the largest window id. One plain task per block computes
+    that block's partials as the block arrives; they are combined here
+    in block order. A materialized input costs no Ray Data execution, a
+    lazy one the execution that makes its blocks. A value over no rows
+    is None (object dtype), so a zero-row input gives ``n_windows`` 0
+    and None elsewhere."""
+    partials = ray.remote(_block_partials)
+    parts = ray.get([partials.remote(ref)
+                     for bundle in selector_ds.iter_internal_ref_bundles()
+                     for ref, _ in bundle.blocks])
+    row = {"n_windows": sum(p[0] for p in parts)}
+    for i, name in enumerate(_MEANS):
+        sums = _present(p[1][i][0] for p in parts)
+        count = sum(p[1][i][1] for p in parts)
+        row[name] = sum(sums) / count if count else None
+    rows, tops = _present(p[2] for p in parts), _present(p[3] for p in parts)
+    row["rows_total"] = sum(rows) if rows else None
+    row["max_window_id"] = max(tops) if tops else None
     return pd.DataFrame([row])
 
 

@@ -62,11 +62,15 @@ _RPREFIX = "__r."
 
 
 def _ensure_arrow(ds):
-    """Return (ds, {name: pyarrow type}); converts pandas-block datasets
-    (whose schema reports numpy dtypes) to Arrow blocks first."""
-    sch = ds.schema()
-    if not all(isinstance(t, pa.DataType) for t in sch.types):
-        ds = ds.map_batches(lambda t: t, batch_format="pyarrow")
+    """Return (ds, {name: pyarrow type}) with Arrow blocks. Unless ``ds``
+    already knows an Arrow schema without executing (a materialized
+    Arrow Dataset), it is re-blocked by an identity map that fuses with
+    its upstream, whatever its block format (a pandas-block schema
+    reports numpy dtypes), and that schema is probed once."""
+    sch = ds.schema(fetch_if_missing=False)
+    if sch is None or not isinstance(sch.base_schema, pa.Schema):
+        ds = ds.map_batches(lambda t: t, batch_format="pyarrow",
+                            zero_copy_batch=True)
         sch = ds.schema()
     return ds, dict(zip(sch.names, sch.types))
 

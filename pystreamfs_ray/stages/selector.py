@@ -6,7 +6,10 @@ This is the engine form of the reference's ``simulate_stream`` loop
 the kernel state is threaded window-to-window (strictly sequential —
 the reference contract forbids intra-entity parallelism); across
 entities everything is parallel. Entities are hash-bucketed once
-(shuffle #1) and each bucket runs as one group task; the stage passes
+(shuffle #1) and each bucket runs as one group task. The bucket map
+(``window.add_bucket``) also prunes each batch to the columns the fold
+reads; it fuses with the read → featurize maps, so the stage probes no
+schema and the whole stage is one Ray Data execution. The stage passes
 a constructed ``BucketSelector``, so the kernel registry resolves once,
 in ``__init__``, when the stage is built. ``map_groups`` hands each
 bucket over as a pyarrow table; the stage sorts and reads it as numpy
@@ -434,9 +437,9 @@ def run_selector(
     if ts_col:
         keep.append(ts_col)
     keep += list(feature_cols or FEATURE_COLS)
-    # prune to the columns the stage actually needs before the shuffle
-    cols = [c for c in dict.fromkeys(keep) if c in features_ds.schema().names]
-    ds = features_ds.select_columns(cols)
-    bucketed = add_bucket(ds, entity_col, num_buckets)
+    # the bucket map prunes each batch to the columns the fold needs, so
+    # the shuffle carries only them and no schema probe runs first
+    bucketed = add_bucket(features_ds, entity_col, num_buckets,
+                          keep=list(dict.fromkeys(keep)))
     return bucketed.groupby("__bucket").map_groups(selector,
                                                    batch_format="pyarrow")

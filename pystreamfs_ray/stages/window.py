@@ -32,15 +32,23 @@ from pystreamfs_ray.util import bucket_array
 DEFAULT_BUCKETS = 64
 
 
-def add_bucket(ds, entity_col: str = "conv_id", num_buckets: int = DEFAULT_BUCKETS):
+def add_bucket(ds, entity_col: str = "conv_id", num_buckets: int = DEFAULT_BUCKETS,
+               keep: list[str] | None = None):
     """Append the ``__bucket`` hash-partition column, keeping blocks in
     ARROW format: the downstream groupby sort then shuffles compact
     Arrow buffers (C++ sort/take, no GIL) instead of pandas blocks full
     of per-row Python string objects — the latter inflated shuffle CPU
-    ~10× at high core counts (allocator/refcount contention)."""
+    ~10× at high core counts (allocator/refcount contention).
+
+    ``keep`` prunes each batch, in the same map, to the listed columns
+    it has (in list order) before the column is added: the shuffle
+    carries only them, and no schema is probed up front to learn which
+    columns exist."""
     import pyarrow as pa
 
     def _assign(t: pa.Table) -> pa.Table:
+        if keep is not None:
+            t = t.select([c for c in keep if c in t.column_names])
         keys = t[entity_col].to_pandas()
         return t.append_column(
             "__bucket", pa.array(bucket_array(keys, num_buckets), type=pa.int32())
