@@ -173,7 +173,8 @@ def run_bench() -> dict:
 
     # partitioning constants are FIXED (not NUM_CPUS-derived) so the
     # scaling comparison runs bit-identical work at every CPU count —
-    # sized for the 32-CPU leg, harmless at 8
+    # sized for the 32-CPU leg, harmless at 8. 64 read blocks is what
+    # sources.read_parquet derives on its own at 32 CPUs (2 per CPU)
     num_buckets = 256
     read_blocks = 64
 

@@ -19,6 +19,8 @@ import pyarrow as pa
 
 import ray.data as rd
 
+from pystreamfs_ray.util import read_blocks, session_cpus
+
 
 def _strip_meta(t: pa.Table) -> pa.Table:
     return t.replace_schema_metadata(None) if t.schema.metadata else t
@@ -29,26 +31,56 @@ def strip_schema_metadata(ds):
     return ds.map_batches(_strip_meta, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def _clean_schema(paths, columns):
+def _list_files(paths):
+    """``[(path, on-disk bytes)]`` of the files a read of ``paths``
+    covers, in Ray's listing order: a file as given, a directory walked
+    recursively (Hive partition directories included), skipping names
+    that start with ``.`` or ``_`` as Ray does. One ``os.stat`` per
+    file and no footer read. None when a path is not a local file or
+    directory (a URI, a glob, a missing path)."""
+    import os
+
+    out = []
+    for p in paths if isinstance(paths, (list, tuple)) else [paths]:
+        if not isinstance(p, str):
+            return None
+        if os.path.isfile(p):
+            out.append((p, os.path.getsize(p)))
+        elif os.path.isdir(p):
+            found = []
+            for root, dirs, names in os.walk(p):
+                dirs[:] = [d for d in dirs if not d.startswith((".", "_"))]
+                found += [os.path.join(root, n) for n in names
+                          if not n.startswith((".", "_"))]
+            out += [(f, os.path.getsize(f)) for f in sorted(found)]
+        else:
+            return None
+    return out
+
+
+def _clean_schema(paths, files, columns):
     """Metadata-free read schema (projected to ``columns``) from the
-    first file's footer — one footer read. Passing it to
+    first listed file's footer — one footer read. Passing it to
     ``read_parquet`` keeps the READ op's own block schemas hashable
     too (the post-read strip only covers downstream ops), so Ray's
     schema-dedup fast path works everywhere. Returns None when the
-    layout isn't a plain file/dir (caller falls back)."""
-    import glob
+    first path is neither a file nor a directory holding ``.parquet``
+    files at its top level: a Hive-partitioned directory adds its
+    partition columns to the rows, which a footer schema lacks."""
     import os
 
     import pyarrow.parquet as pq
 
     p = paths[0] if isinstance(paths, (list, tuple)) else paths
-    if os.path.isdir(p):
-        files = sorted(glob.glob(os.path.join(p, "*.parquet")))
-        if not files:
-            return None
-        p = files[0]
-    if not (isinstance(p, str) and os.path.isfile(p)):
+    if files is None or not isinstance(p, str):
         return None
+    if os.path.isdir(p):
+        top = [f for f, _ in files
+               if os.path.normpath(os.path.dirname(f)) == os.path.normpath(p)
+               and f.endswith(".parquet")]
+        if not top:
+            return None
+        p = top[0]
     try:
         full = pq.read_schema(p).remove_metadata()
         if columns is None:
@@ -60,14 +92,33 @@ def _clean_schema(paths, columns):
 
 def read_parquet(paths, **kwargs):
     """``ray.data.read_parquet`` with hashable (metadata-free) block
-    schemas. Pass ``columns=[...]`` so only needed columns leave
-    storage, and ``filter=pyarrow.dataset.Expression`` to push row
-    predicates into the scan (row-group stats prune whole groups when
-    the predicate hits the table's sort column)."""
+    schemas and a block count sized from the input. Pass
+    ``columns=[...]`` so only needed columns leave storage, and
+    ``filter=pyarrow.dataset.Expression`` to push row predicates into
+    the scan (row-group stats prune whole groups when the predicate
+    hits the table's sort column).
+
+    Block count: unless the caller passes ``override_num_blocks`` or
+    ``parallelism``, the read asks for ``util.read_blocks(bytes, cpus)``
+    = max(2 × session CPUs, ceil(bytes / target_max_block_size))
+    blocks. ``bytes`` is the on-disk size of the listed files — known
+    from the listing alone, with no footer scan and no Ray Data
+    execution; it ignores a column projection, so it can only
+    over-count and err toward more, smaller blocks. Ray still splits
+    any output block larger than ``target_max_block_size``.
+    When a path is not a local file or directory (a URI, a glob) or
+    Ray is not initialized yet, Ray's default applies."""
+    files = _list_files(paths)
     if "schema" not in kwargs:
-        schema = _clean_schema(paths, kwargs.get("columns"))
+        schema = _clean_schema(paths, files, kwargs.get("columns"))
         if schema is not None:
             kwargs["schema"] = schema
+    if (files is not None and "override_num_blocks" not in kwargs
+            and "parallelism" not in kwargs):
+        cpus = session_cpus()
+        if cpus:
+            kwargs["override_num_blocks"] = read_blocks(
+                sum(n for _, n in files), cpus)
     return strip_schema_metadata(rd.read_parquet(paths, **kwargs))
 
 

@@ -80,7 +80,9 @@ def featurize(ds, *, batch_size: int | None = None):
     ``batch_size=None`` (default) keeps one batch per block: forcing big
     batches coalesces blocks, throttling the task fan-out of this stage
     AND the downstream shuffle (measured 5-10× wall-time difference at
-    sf0.1)."""
+    sf0.1). The block count itself is set at the read:
+    ``sources.read_parquet`` derives it from the input bytes and the
+    session's CPUs (``util.read_blocks``)."""
     return ds.map_batches(
         featurize_batch, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size
     )

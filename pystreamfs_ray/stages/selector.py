@@ -85,6 +85,7 @@ class BucketSelector:
         streaming: bool = False,
         flush: bool = True,
         load_state: bool = False,
+        num_buckets: int | None = None,
     ):
         # resolve kernels once, when the stage is built, not per bucket.
         # A list runs several kernels per entity in ONE pass — the shuffle
@@ -107,6 +108,7 @@ class BucketSelector:
         self.max_history = max_history
         self.checkpoint_dir = checkpoint_dir
         self.fingerprint = fingerprint
+        self.num_buckets = num_buckets  # recorded in the lineage only
         # streaming continuation: don't emit the short tail window —
         # carry it (plus bounded eval history) in per-bucket state so a
         # later run over NEW rows continues the same stream exactly
@@ -121,14 +123,17 @@ class BucketSelector:
                 "max_history (the unbounded prefix cannot be carried)"
             )
 
-    def _lineage(self) -> dict:
-        """Kernel/params/input identity stored with per-bucket state and
-        checked on load — same trust rule as ``completed_buckets``."""
-        return {
-            "kernel": self.kernel_name,
-            "params_fingerprint": params_fingerprint(self.kernel_params),
-            "input_fingerprint": self.fingerprint,
-        }
+    def lineage(self) -> dict:
+        """The lineage record stored with per-bucket state and manifests
+        and checked on load — the trust rule of ``completed_buckets``."""
+        from pystreamfs_ray.state.checkpoint import selector_lineage
+
+        return selector_lineage(
+            kernel=self.kernel_name,
+            params_fp=params_fingerprint(self.kernel_params),
+            input_fp=self.fingerprint, num_buckets=self.num_buckets,
+            batch_size=self.batch_size, evaluate=self.evaluate,
+            max_history=self.max_history)
 
     def _classify(self, Xfull, Yfull, hist_n, i, selected, model, first: bool,
                   sel_cache: dict, acc_cache: dict):
@@ -221,7 +226,7 @@ class BucketSelector:
             from pystreamfs_ray.state.checkpoint import read_bucket_state
 
             prior_states = read_bucket_state(
-                self.checkpoint_dir, bucket_id, lineage=self._lineage()
+                self.checkpoint_dir, bucket_id, lineage=self.lineage()
             )
         # entities absent from this run keep their carried state as is
         new_states: dict = dict(prior_states)
@@ -364,7 +369,7 @@ class BucketSelector:
             from pystreamfs_ray.state.checkpoint import write_bucket_state
 
             write_bucket_state(self.checkpoint_dir, bucket_id, new_states,
-                               lineage=self._lineage())
+                               lineage=self.lineage())
 
         if self.checkpoint_dir is not None and bucket_id >= 0:
             from pystreamfs_ray.state.checkpoint import write_bucket_checkpoint
@@ -382,9 +387,7 @@ class BucketSelector:
                 self.checkpoint_dir,
                 bucket_id,
                 out,
-                kernel=self.kernel_name,
-                params_fp=params_fingerprint(self.kernel_params),
-                input_fp=self.fingerprint,
+                lineage=self.lineage(),
                 n_convs=n_convs,
                 rows_done=len(conv),
                 wall_s=wall_s,
@@ -432,6 +435,7 @@ def run_selector(
         max_history=max_history,
         checkpoint_dir=checkpoint_dir,
         fingerprint=fingerprint,
+        num_buckets=num_buckets,
     )
     keep = [entity_col, *order_cols, label_col]
     if ts_col:

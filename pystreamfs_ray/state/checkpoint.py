@@ -10,8 +10,9 @@ selector stage must be resumable. Layout under ``checkpoint_dir``::
 Writes are atomic (temp file + ``os.replace``), keyed by bucket id, so a
 re-run is idempotent: ``resume_selector`` filters finished buckets out of
 the input *before* the shuffle and unions their saved outputs back in.
-A manifest is only trusted when its kernel/params/input fingerprints
-match the current run (stale lineage → recompute).
+A manifest is only trusted when its lineage record (``selector_lineage``:
+kernels, params, input fingerprint, bucket count, window size and eval
+settings) matches the current run's (stale lineage → recompute).
 """
 
 from __future__ import annotations
@@ -22,16 +23,35 @@ import os
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from pystreamfs_ray.util import params_fingerprint
-
 
 def _bucket_dir(root: str, bucket_id: int) -> str:
     return os.path.join(root, f"bucket={bucket_id}")
 
 
+def selector_lineage(*, kernel: str, params_fp: str, input_fp: str,
+                     num_buckets: int | None, batch_size: int,
+                     evaluate: str | None = None,
+                     max_history: int | None = None) -> dict:
+    """The lineage record of one selector bucket: the kernels, their
+    params, the input fingerprint, and the arguments that decide which
+    entities share a bucket and how their rows cut into windows and
+    are scored (bucket count, window size, evaluator, eval history).
+    Manifests and state blobs store it; a resume trusts a bucket only
+    when the stored record equals the current run's."""
+    return {
+        "kernel": kernel,
+        "params_fingerprint": params_fp,
+        "input_fingerprint": input_fp,
+        "num_buckets": num_buckets,
+        "batch_size": batch_size,
+        "evaluate": evaluate,
+        "max_history": max_history,
+    }
+
+
 def write_bucket_checkpoint(root: str, bucket_id: int, table: pa.Table, *,
-                            kernel: str, params_fp: str, input_fp: str,
-                            n_convs: int, rows_done: int, wall_s: float,
+                            lineage: dict, n_convs: int, rows_done: int,
+                            wall_s: float,
                             window_lag_s: float | None = None) -> None:
     d = _bucket_dir(root, bucket_id)
     os.makedirs(d, exist_ok=True)
@@ -40,9 +60,7 @@ def write_bucket_checkpoint(root: str, bucket_id: int, table: pa.Table, *,
     os.replace(tmp_data, os.path.join(d, "data.parquet"))
     manifest = {
         "bucket_id": bucket_id,
-        "kernel": kernel,
-        "params_fingerprint": params_fp,
-        "input_fingerprint": input_fp,
+        **lineage,
         "n_convs": n_convs,
         "n_windows": table.num_rows,
         "rows_done": rows_done,
@@ -61,10 +79,10 @@ def write_bucket_state(root: str, bucket_id: int, states: dict, *,
     """Per-bucket streaming-continuation state (kernel state, pending
     partial-window rows, bounded eval history, next window id per
     entity) — pickled atomically. This is the 'kernel_state_blob' of the
-    checkpoint design (SURVEY.md §4). ``lineage`` (kernel name +
-    params/input fingerprints) is stored alongside the blob so a resume
-    with different kernels/params/input rejects the state instead of
-    silently continuing from a mismatched stream."""
+    checkpoint design (SURVEY.md §4). ``lineage`` (the
+    ``selector_lineage`` record) is stored alongside the blob so a
+    resume with different kernels/params/input/bucketing rejects the
+    state instead of silently continuing from a mismatched stream."""
     import pickle
 
     d = _bucket_dir(root, bucket_id)
@@ -93,8 +111,9 @@ def read_bucket_state(root: str, bucket_id: int, *,
     return blob["states"]
 
 
-def completed_buckets(root: str, *, kernel: str, params_fp: str, input_fp: str) -> dict[int, dict]:
-    """Bucket ids whose manifest exists and matches the current lineage."""
+def completed_buckets(root: str, lineage: dict) -> dict[int, dict]:
+    """Bucket ids whose manifest exists and holds ``lineage``, the
+    current run's ``selector_lineage`` record."""
     done: dict[int, dict] = {}
     if not os.path.isdir(root):
         return done
@@ -110,11 +129,7 @@ def completed_buckets(root: str, *, kernel: str, params_fp: str, input_fp: str) 
                 m = json.load(f)
         except (OSError, json.JSONDecodeError):
             continue
-        if (
-            m.get("kernel") == kernel
-            and m.get("params_fingerprint") == params_fp
-            and m.get("input_fingerprint") == input_fp
-        ):
+        if all(m.get(k) == v for k, v in lineage.items()):
             done[int(m["bucket_id"])] = m
     return done
 
@@ -130,15 +145,14 @@ def resume_selector(features_ds, *, checkpoint_dir: str, kernel: str,
     """
     from pystreamfs_ray.sources import read_parquet
 
-    from pystreamfs_ray.stages.selector import run_selector
+    from pystreamfs_ray.stages.selector import BucketSelector, run_selector
     from pystreamfs_ray.util import bucket_array
 
-    params = dict(kernel_params or {})
-    params.setdefault("num_features", selector_kwargs.get("num_features", 5))
-    params_fp = params_fingerprint(params)
-    done = completed_buckets(
-        checkpoint_dir, kernel=kernel, params_fp=params_fp, input_fp=fingerprint
-    )
+    # the selector the run builds, for its lineage (defaults included)
+    selector = BucketSelector(kernel=kernel, kernel_params=kernel_params,
+                              fingerprint=fingerprint, num_buckets=num_buckets,
+                              entity_col=entity_col, **selector_kwargs)
+    done = completed_buckets(checkpoint_dir, selector.lineage())
 
     pending = features_ds
     if done:
@@ -166,8 +180,11 @@ def resume_selector(features_ds, *, checkpoint_dir: str, kernel: str,
     )
     if not done:
         return fresh
+    # partitioning=None: the ``bucket=<id>`` directory names are not a
+    # column of the selector output
     saved = read_parquet(
-        [os.path.join(_bucket_dir(checkpoint_dir, b), "data.parquet") for b in sorted(done)]
+        [os.path.join(_bucket_dir(checkpoint_dir, b), "data.parquet") for b in sorted(done)],
+        partitioning=None,
     )
     return fresh.union(saved)
 

@@ -1,5 +1,6 @@
 """Small shared helpers (hashing, bucketing, fingerprints, combiners,
-and the partition count of every distributed join)."""
+the partition count of every distributed join and the block count of
+every Parquet read)."""
 
 from __future__ import annotations
 
@@ -285,14 +286,34 @@ def drop_empty_blocks(ds, num_blocks: int):
     return ds.repartition(num_blocks)
 
 
+def session_cpus() -> int | None:
+    """CPUs of the connected Ray session; None before ``ray.init()``."""
+    import ray
+
+    if not ray.is_initialized():
+        return None
+    return int(ray.cluster_resources().get("CPU", 0))
+
+
 def shuffle_partitions() -> int:
     """Partition count for every distributed join (the off-broadcast
     path of ``stages/joins.lookup`` among them):
     half the session's CPUs, clamped to [4, 64] (a join pool larger than
     a small session's CPUs stalls it; a tiny one bottlenecks a cluster)."""
-    import ray
+    return min(64, max(4, (session_cpus() or 8) // 2))
 
-    return min(64, max(4, int(ray.cluster_resources().get("CPU", 8)) // 2))
+
+def read_blocks(nbytes: int, cpus: int) -> int:
+    """Block count for a file read of ``nbytes``: two blocks per CPU,
+    or more when that would make a block larger than Ray's
+    ``DataContext.target_max_block_size``. These are two of the three
+    terms of Ray's own read autodetect; its third (≥ 1 MiB per block,
+    up to 200 blocks) cuts a few-MB input into many tiny blocks, and
+    every downstream task and shuffle partition pays per block."""
+    from ray.data import DataContext
+
+    target = DataContext.get_current().target_max_block_size
+    return max(2 * cpus, -(-nbytes // target) if target else 1)
 
 
 def stats_table(ds) -> "pd.DataFrame":

@@ -227,3 +227,44 @@ def test_no_searchsorted_membership_probe_outside_joins():
                         and c.left.value.id in searched):
                     found.append(f"{name}:{c.lineno}")
     assert found == []
+
+
+def _ray_data_read_parquet(tree):
+    """Line numbers of ``ray.data.read_parquet(...)`` calls, through any
+    import spelling (``rd.read_parquet``, ``ray.data.read_parquet``,
+    ``from ray.data import read_parquet``)."""
+    modules, funcs = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname for a in node.names
+                        if a.name == "ray.data" and a.asname}
+        elif isinstance(node, ast.ImportFrom) and node.module == "ray":
+            modules |= {a.asname or a.name for a in node.names
+                        if a.name == "data"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "ray.data":
+            funcs |= {a.asname or a.name for a in node.names
+                      if a.name == "read_parquet"}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if (isinstance(f, ast.Name) and f.id in funcs
+                or isinstance(f, ast.Attribute) and f.attr == "read_parquet"
+                and (isinstance(f.value, ast.Name) and f.value.id in modules
+                     or isinstance(f.value, ast.Attribute)
+                     and f.value.attr == "data"
+                     and isinstance(f.value.value, ast.Name)
+                     and f.value.value.id == "ray")):
+            found.append(node.lineno)
+    return found
+
+
+def test_ray_data_read_parquet_only_in_sources():
+    """Every engine Parquet read goes through ``sources.read_parquet``,
+    so every one gets its block count sized from the input."""
+    found = [f"{name}:{line}" for name, tree in _modules()
+             for line in _ray_data_read_parquet(tree)]
+    found += [f"__ray_entry__.py:{line}"
+              for line in _ray_data_read_parquet(ast.parse(ENTRY.read_text()))]
+    assert [f.split(":")[0] for f in found] == ["sources.py"]

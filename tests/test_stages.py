@@ -185,6 +185,7 @@ def test_checkpoint_resume(ray_session, synth_dirs, tmp_path):
         completed_buckets,
         lineage_summary,
         resume_selector,
+        selector_lineage,
     )
     from pystreamfs_ray.stages.featurize import featurize
     from pystreamfs_ray.util import params_fingerprint
@@ -197,7 +198,10 @@ def test_checkpoint_resume(ray_session, synth_dirs, tmp_path):
     ).to_pandas()
 
     params_fp = params_fingerprint({"num_features": 5})
-    done = completed_buckets(ckpt, kernel="ofs", params_fp=params_fp, input_fp="fixture-v1")
+    lineage = dict(kernel="ofs", params_fp=params_fp, num_buckets=8,
+                   batch_size=20)
+    done = completed_buckets(
+        ckpt, selector_lineage(input_fp="fixture-v1", **lineage))
     assert len(done) > 0
     mani = lineage_summary(ckpt)
     assert all(m["rows_per_sec"] > 0 for m in mani)
@@ -216,6 +220,7 @@ def test_checkpoint_resume(ray_session, synth_dirs, tmp_path):
     ).to_pandas()
 
     key = ["conv_id", "window_id"]
+    assert list(resumed.columns) == list(full.columns)
     a = full.sort_values(key, ignore_index=True)
     b = resumed.sort_values(key, ignore_index=True)
     assert len(a) == len(b)
@@ -223,7 +228,49 @@ def test_checkpoint_resume(ray_session, synth_dirs, tmp_path):
     for x, y in zip(a["w"], b["w"]):
         np.testing.assert_array_equal(np.array(x), np.array(y))
     # wrong lineage is not trusted
-    assert completed_buckets(ckpt, kernel="ofs", params_fp=params_fp, input_fp="other") == {}
+    assert completed_buckets(
+        ckpt, selector_lineage(input_fp="other", **lineage)) == {}
+
+
+@pytest.mark.parametrize("first,second", [
+    (dict(num_buckets=4, batch_size=20), dict(num_buckets=8, batch_size=20)),
+    (dict(num_buckets=4, batch_size=20), dict(num_buckets=4, batch_size=30)),
+], ids=["buckets_4_to_8", "batch_20_to_30"])
+def test_resume_over_changed_bucketing_equals_fresh_run(
+        ray_session, synth_dirs, tmp_path, first, second):
+    """A resume whose bucket count or window size differs from the
+    checkpointed run's trusts no bucket: it recomputes, and equals a
+    fresh run (it used to union stale or mis-bucketed windows in)."""
+    from pystreamfs_ray.pipelines.flagship import feature_windows
+    from pystreamfs_ray.sources import read_parquet
+    from pystreamfs_ray.stages.featurize import featurize
+    from pystreamfs_ray.state.checkpoint import lineage_summary, resume_selector
+
+    src = synth_dirs["transcripts"]
+    ckpt = str(tmp_path / "ckpt")
+    feature_windows(read_parquet(src), kernel="ofs", checkpoint_dir=ckpt,
+                    fingerprint="fp", **first).materialize()
+    resumed = resume_selector(
+        featurize(read_parquet(src)), checkpoint_dir=ckpt, kernel="ofs",
+        kernel_params=None, fingerprint="fp", **second).to_pandas()
+    fresh = feature_windows(read_parquet(src), kernel="ofs",
+                            **second).to_pandas()
+
+    assert {(m["num_buckets"], m["batch_size"]) for m in lineage_summary(ckpt)
+            if m["bucket_id"] < second["num_buckets"]} == {
+        (second["num_buckets"], second["batch_size"])}
+    key = ["kernel", "conv_id", "window_id"]
+    assert not resumed.duplicated(key).any()
+    drop = ["wall_ms", "mem_bytes"]
+    a = fresh.drop(columns=drop).sort_values(key, ignore_index=True)
+    b = resumed.drop(columns=drop).sort_values(key, ignore_index=True)
+    assert len(a) == len(b)
+    for col in a.columns:
+        for x, y in zip(a[col], b[col]):
+            if isinstance(x, (list, np.ndarray)):
+                np.testing.assert_array_equal(np.asarray(x), np.asarray(y))
+            else:
+                assert x == y or (pd.isna(x) and pd.isna(y)), col
 
 
 def test_rolling_time_sum_range_semantics():
