@@ -43,11 +43,11 @@ class FSDSKernel:
         s = s[:ell]
 
         # Frequent Directions shrink; nan_to_num mirrors the reference's
-        # guard for tiny first windows (fsds.py:52,68)
+        # guard for tiny first windows (fsds.py:52,68), skipped when finite
         delta = s[-1] ** 2
         with np.errstate(invalid="ignore"):
             s = np.sqrt(s**2 - delta)
-        s = np.nan_to_num(s)
+        s = s if np.isfinite(s).all() else np.nan_to_num(s)
 
         B = np.dot(U, np.diag(s))
 
@@ -56,7 +56,7 @@ class FSDSKernel:
         alpha = (2**3) * (s[k - 1] if len(s) >= k else 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             D = np.diag(s[:k] / (s[:k] ** 2 + alpha))
-        D = np.nan_to_num(D)
+        D = D if np.isfinite(D).all() else np.nan_to_num(D)
 
         Xk = np.dot(U[:, :k], D)
         w = np.amax(np.abs(Xk), axis=1)

@@ -17,17 +17,18 @@ class KNNClassifier:
 
     Neighbour order: smaller distance first, then the earlier train row.
     The k neighbours are therefore exactly ``np.argsort(d2,
-    kind="stable")[:, :k]`` of the float32 distances, whatever the train
-    tile size, so a refit on the same rows always votes with the same
-    neighbours. Ties in the vote resolve to the smallest label; k shrinks
-    to the training size when the prefix is smaller than k.
+    kind="stable")[:, :k]`` of the float32 distances, found by k
+    ``argmin`` passes per train tile and per merge of the tiles'
+    candidates (``_nearest``); a tile with NaN or ±inf distances takes
+    that argsort itself. Ties in the vote resolve to the smallest label;
+    k shrinks to the training size, and no train rows predict 0.
 
     Memory-bandwidth discipline (the prequential eval streams a
     ~max_history×m train matrix per window, so traffic — not flops —
     bounds multi-core scaling): float32 matrices (half the bytes),
     train-side squared norms cached at fit, and the test-side ``‖x‖²``
     term dropped from the distance (a per-row constant — it cannot
-    change that row's argpartition ranking).
+    change that row's neighbour order).
     """
 
     def __init__(self, k: int = 5):
@@ -48,55 +49,49 @@ class KNNClassifier:
     _TRAIN_CHUNK = 4096  # d2 tile (test × chunk) stays cache-resident
 
     @staticmethod
-    def _tile_topk(d2: np.ndarray, kc: int) -> np.ndarray:
-        """Column indices of each row's ``kc`` nearest entries under the
-        neighbour order: every entry below the kc-th smallest value, then
-        the earliest entries equal to it. ``argpartition`` alone keeps an
-        arbitrary subset of the ties at the boundary, so the rows with
-        more boundary ties than free slots are re-ranked."""
-        idx = np.argpartition(d2, kc - 1, axis=1)[:, :kc]
-        if kc == d2.shape[1]:
-            return idx
-        kth = np.take_along_axis(d2, idx[:, kc - 1:kc], axis=1)
-        le = d2 <= kth
-        rows = np.flatnonzero(le.sum(axis=1) > kc)
-        if rows.size:
-            lt = d2[rows] < kth[rows]
-            eq = le[rows] & ~lt
-            free = kc - lt.sum(axis=1, keepdims=True)
-            keep = lt | (eq & (np.cumsum(eq, axis=1) <= free))
-            idx[rows] = np.nonzero(keep)[1].reshape(rows.size, kc)
-        return idx
+    def _nearest(d: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Values and columns of each row's ``min(k, columns)`` nearest
+        entries of ``d``: ``argmin`` returns the first minimum, so k passes
+        that each mask the row's minimum with +inf give the neighbour order.
+        A NaN, or a row with fewer than k finite entries, makes a pass
+        record a non-finite value; then ``d`` takes the stable argsort."""
+        k = min(k, d.shape[1])
+        idx = np.empty((d.shape[0], k), dtype=np.intp)
+        val = np.empty((d.shape[0], k), dtype=d.dtype)
+        rows, masked = np.arange(d.shape[0]), d.copy()
+        for j in range(k):
+            idx[:, j] = c = masked.argmin(axis=1)
+            val[:, j] = masked[rows, c]
+            masked[rows, c] = np.inf
+        if not np.isfinite(val).all():
+            idx = np.argsort(d, axis=1, kind="stable")[:, :k]
+            val = np.take_along_axis(d, idx, axis=1)
+        return val, idx
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float32)
         n_train = self._X.shape[0]
-        k = min(self.k, n_train)
-        preds = np.empty(X.shape[0], dtype=np.int64)
-        n_classes = int(self._y.max()) + 1 if self._y.size else 1
+        preds = np.zeros(X.shape[0], dtype=np.int64)
+        if n_train == 0:  # nothing to vote with: every row predicts 0
+            return preds
+        n_classes = int(self._y.max()) + 1
         ch = self._TRAIN_CHUNK
         for s in range(0, X.shape[0], 4096):
             xb = X[s:s + 4096]
-            # tile over the train side: each d2 tile is computed, top-k
-            # selected, and DISCARDED while still cache-hot — the full
-            # (test × n_train) distance matrix never touches DRAM
+            # tile over the train side: each d2 tile is computed, its
+            # nearest kept, and DISCARDED while still cache-hot — the
+            # full (test × n_train) distance matrix never touches DRAM
             best_d = best_i = None
             for c0 in range(0, n_train, ch):
-                Xc = self._X[c0:c0 + ch]
-                d2 = self._norms[c0:c0 + ch][None, :] - 2.0 * (xb @ Xc.T)
-                idx = self._tile_topk(d2, min(k, Xc.shape[0]))
-                dch = np.take_along_axis(d2, idx, axis=1)
-                ich = idx + c0
-                if best_d is None:
-                    best_d, best_i = dch, ich
-                else:
-                    # (distance, train row) order: earlier tiles hold the
-                    # earlier rows, so ties keep the earlier neighbour
-                    cat_d = np.concatenate([best_d, dch], axis=1)
-                    cat_i = np.concatenate([best_i, ich], axis=1)
-                    sel = np.lexsort((cat_i, cat_d), axis=1)[:, :min(k, cat_d.shape[1])]
-                    best_d = np.take_along_axis(cat_d, sel, axis=1)
-                    best_i = np.take_along_axis(cat_i, sel, axis=1)
+                d2 = self._norms[c0:c0 + ch][None, :] - 2.0 * (xb @ self._X[c0:c0 + ch].T)
+                dch, ich = self._nearest(d2, self.k)
+                ich += c0
+                if best_d is not None:
+                    # earlier tiles hold the earlier train rows, so the
+                    # merge keeps the earlier neighbour of a tie
+                    dch, sel = self._nearest(np.concatenate([best_d, dch], axis=1), self.k)
+                    ich = np.take_along_axis(np.concatenate([best_i, ich], axis=1), sel, axis=1)
+                best_d, best_i = dch, ich
             votes = self._y[best_i]
             counts = np.zeros((xb.shape[0], n_classes), dtype=np.int64)
             for c in range(n_classes):

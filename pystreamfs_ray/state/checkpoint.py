@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -156,17 +157,14 @@ def resume_selector(features_ds, *, checkpoint_dir: str, kernel: str,
 
     pending = features_ds
     if done:
-        done_ids = set(done)
+        done_ids = list(done)
 
-        def _drop_done(batch):
-            import numpy as np
+        def _drop_done(batch: pa.Table) -> pa.Table:
+            # Arrow, not pandas: no pandas schema metadata in the exchange
+            buckets = bucket_array(batch[entity_col].to_pandas(), num_buckets)
+            return batch.filter(pa.array(~np.isin(buckets, done_ids)))
 
-            keep = ~np.isin(
-                bucket_array(batch[entity_col].tolist(), num_buckets), list(done_ids)
-            )
-            return batch[keep]
-
-        pending = features_ds.map_batches(_drop_done, batch_format="pandas")
+        pending = features_ds.map_batches(_drop_done, batch_format="pyarrow")
 
     fresh = run_selector(
         pending,

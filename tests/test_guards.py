@@ -1,7 +1,8 @@
 """Source guards: the broadcast-or-join decision and its probe, the
 fallback join partition count, the per-window memory probe, the
 combiner → Sum reduce and the prequential evaluators' feature gather
-each have one rule in the package, no function takes an option that overrides one,
+each have one rule in the package, the KNN model has one top-k kernel,
+no function takes an option that overrides one,
 and no module imports a name it never uses."""
 
 import ast
@@ -268,3 +269,30 @@ def test_ray_data_read_parquet_only_in_sources():
     found += [f"__ray_entry__.py:{line}"
               for line in _ray_data_read_parquet(ast.parse(ENTRY.read_text()))]
     assert [f.split(":")[0] for f in found] == ["sources.py"]
+
+
+ORDERING = {"argsort", "argmin", "argpartition", "lexsort", "sort", "partition"}
+
+
+def test_knn_picks_neighbours_only_through_nearest():
+    """``KNNClassifier._nearest`` is the one top-k kernel: ``models.py``
+    has no ``argpartition`` or ``lexsort`` path beside it, and the KNN
+    class orders distances nowhere else, so ``predict`` and the merge of
+    its train tiles keep one neighbour order."""
+    tree = ast.parse((PKG / "models.py").read_text())
+    names = {n.attr if isinstance(n, ast.Attribute) else n.id
+             for n in ast.walk(tree) if isinstance(n, (ast.Attribute, ast.Name))}
+    assert not names & {"argpartition", "lexsort"}
+    knn = next(n for n in tree.body
+               if isinstance(n, ast.ClassDef) and n.name == "KNNClassifier")
+    users, callers = set(), set()
+    for fn in knn.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute) and node.attr in ORDERING:
+                users.add(fn.name)
+            if isinstance(node, ast.Attribute) and node.attr == "_nearest":
+                callers.add(fn.name)
+    assert users == {"_nearest"}
+    assert callers == {"predict"}

@@ -1,7 +1,7 @@
 """The selector fold's per-window work: the KNN neighbour order, the
-EFS update, the cross-kernel eval cache, the Arrow-native bucket input
-and the per-window memory probe. Each cheaper form is checked against
-the plain computation it replaces."""
+EFS and FSDS updates, the cross-kernel eval cache, the Arrow-native
+bucket input and the per-window memory probe. Each cheaper form is
+checked against the plain computation it replaces."""
 
 import os
 
@@ -21,18 +21,24 @@ def _tie_fixture(rng, n):
                             rng.integers(0, 3, (n, 1))]).astype(np.float64)
 
 
-def _stable_knn(X_train, y_train, X_test, k):
+def _stable_knn(X_train, y_train, X_test, k, norms=None):
     """Brute force: the k first train rows of a stable argsort of the
-    float32 distances, majority vote, ties to the smallest label."""
+    float32 distances, majority vote, ties to the smallest label; no
+    train rows predict 0."""
+    if len(y_train) == 0:
+        return np.zeros(len(X_test), dtype=np.int64)
     Xf, Xt = X_train.astype(np.float32), X_test.astype(np.float32)
-    d2 = np.einsum("ij,ij->i", Xf, Xf)[None, :] - 2.0 * (Xt @ Xf.T)
+    if norms is None:
+        norms = np.einsum("ij,ij->i", Xf, Xf)
+    with np.errstate(invalid="ignore", over="ignore"):
+        d2 = norms[None, :] - 2.0 * (Xt @ Xf.T)
     votes = y_train[np.argsort(d2, axis=1, kind="stable")[:, :k]]
     counts = np.stack([(votes == c).sum(axis=1)
                        for c in range(int(y_train.max()) + 1)], axis=1)
     return np.argmax(counts, axis=1)
 
 
-@pytest.mark.parametrize("chunk", [7, 100, 4096, 10**6])
+@pytest.mark.parametrize("chunk", [1, 7, 100, 4096, 10**6])
 def test_knn_ties_take_the_earlier_train_row(monkeypatch, chunk):
     rng = np.random.default_rng(0)
     X_train, X_test = _tie_fixture(rng, 9000), _tie_fixture(rng, 500)
@@ -41,6 +47,71 @@ def test_knn_ties_take_the_earlier_train_row(monkeypatch, chunk):
     got = KNNClassifier(5).fit(X_train, y_train).predict(X_test)
     want = _stable_knn(X_train, y_train, X_test, 5)
     assert int((got != want).sum()) == 0
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
+def test_knn_k_above_tile_and_train_size(monkeypatch, chunk):
+    """k larger than a tile's columns, and than the whole train set
+    (k then shrinks to it): the merged tiles give the stable order."""
+    rng = np.random.default_rng(1)
+    monkeypatch.setattr(KNNClassifier, "_TRAIN_CHUNK", chunk)
+    for n in (1, 2, 4, 5, 6, 11, 40):
+        X_train, X_test = _tie_fixture(rng, n), _tie_fixture(rng, 30)
+        y_train = rng.integers(0, 4, n)
+        for k in (1, 5, 7):
+            got = KNNClassifier(k).fit(X_train, y_train).predict(X_test)
+            want = _stable_knn(X_train, y_train, X_test, min(k, n))
+            assert np.array_equal(got, want), (n, k)
+
+
+@pytest.mark.parametrize("bad_share,bad_values", [
+    (0.0, [np.nan]), (0.2, [np.nan, np.inf, -np.inf]), (0.9, [np.nan, np.inf, -np.inf]),
+    (0.9, [np.inf]), (0.5, [-np.inf])])
+def test_knn_nearest_is_the_stable_argsort(bad_share, bad_values):
+    """Tied values, and NaN / ±inf entries, down to rows with fewer
+    finite entries than k."""
+    rng = np.random.default_rng(2)
+    # the rows' finite entries come first: a pass past them meets a
+    # column it masked before any inf column of the input
+    cases = [(np.array([[3.0, np.inf], [1.0, 2.0]], np.float32), 2),
+             (np.array([[0.0, 0.0, np.inf, 1.0]], np.float32), 4)]
+    for _ in range(300):
+        d = rng.integers(0, 4, (int(rng.integers(1, 20)),
+                                int(rng.integers(1, 30)))).astype(np.float32)
+        bad = rng.random(d.shape) < bad_share
+        d[bad] = rng.choice(bad_values, int(bad.sum()))
+        cases.append((d, int(rng.integers(1, 8))))
+    for d, k in cases:
+        val, idx = KNNClassifier._nearest(d, k)
+        want = np.argsort(d, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(idx, want)
+        assert np.array_equal(val, np.take_along_axis(d, want, axis=1),
+                              equal_nan=True)
+
+
+def test_knn_zero_row_fit_predicts_zero():
+    X_test = np.random.default_rng(3).normal(size=(7, 3))
+    for y in (np.zeros(0, np.int64), np.zeros(0, np.int32)):
+        got = KNNClassifier(5).fit(np.zeros((0, 3)), y).predict(X_test)
+        assert got.dtype == np.int64 and np.array_equal(got, np.zeros(7))
+
+
+@pytest.mark.parametrize("chunk", [3, 4096])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_knn_non_finite_rows_take_the_stable_argsort(monkeypatch, chunk, bad):
+    """A NaN or ±inf in train or test rows makes NaN or ±inf distances;
+    the neighbours are still the stable argsort's (NaN last)."""
+    rng = np.random.default_rng(4)
+    monkeypatch.setattr(KNNClassifier, "_TRAIN_CHUNK", chunk)
+    X_train, X_test = _tie_fixture(rng, 40), _tie_fixture(rng, 25)
+    y_train = rng.integers(0, 3, 40)
+    X_train[[2, 17, 30], 1] = bad
+    X_test[[0, 9], 3] = bad
+    for Xtr, Xte in ((X_train, _tie_fixture(rng, 25)), (_tie_fixture(rng, 40), X_test),
+                     (X_train, X_test)):
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = KNNClassifier(5).fit(Xtr, y_train).predict(Xte)
+        assert np.array_equal(got, _stable_knn(Xtr, y_train, Xte, 5))
 
 
 def _efs_per_row(state, X, Y, *, alpha=1.5, beta=0.5, threshold=1.0, M=1.0):
@@ -120,6 +191,56 @@ def test_efs_overflow_stream_bit_equal():
     assert _same_bits(states[-1][0], states[59][0])
 
 
+def _fsds_always_nan_to_num(state, X, k):
+    """The FSDS update with both ``nan_to_num`` calls unconditional."""
+    ell = state["ell"]
+    Yt = np.ascontiguousarray(X.T)
+    if state["B"] is None:
+        C = np.hstack((Yt[:, :ell], Yt[:, ell:]))
+    else:
+        C = np.hstack((state["B"], Yt))
+    U, s, _ = np.linalg.svd(C, full_matrices=False)
+    U, s = U[:, :ell], s[:ell]
+    with np.errstate(invalid="ignore"):
+        s = np.nan_to_num(np.sqrt(s**2 - s[-1] ** 2))
+    alpha = (2**3) * (s[k - 1] if len(s) >= k else 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        D = np.nan_to_num(np.diag(s[:k] / (s[:k] ** 2 + alpha)))
+    w = np.amax(np.abs(np.dot(U[:, :k], D)), axis=1)
+    return w, {"B": np.dot(U, np.diag(s)), "ell": ell}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("ell", [0, 2, 3])
+def test_fsds_finite_shortcut_bit_equal(k, ell):
+    """FSDS skips ``nan_to_num`` on a finite array; over windows of fewer
+    than k rows, windows that shrink every σ² to δ (zero, constant and
+    repeated rows), an inf row (NaN singular values) and ell = k (α = 0,
+    so 0/0 terms), w and the sketch equal the unconditional form's."""
+    from pystreamfs_ray.kernels.fsds import FSDSKernel
+
+    rng = np.random.default_rng(6)
+    m = 9
+    inf_row = rng.normal(size=(4, m))
+    inf_row[1, 2] = np.inf
+    windows = ([rng.normal(size=(n, m)) for n in (1, 2, 1)]
+               + [np.zeros((5, m)), np.full((5, m), 3.0),
+                  np.tile(rng.normal(size=m), (6, 1))]
+               + [rng.normal(size=(n, m)) * 10.0 ** e
+                  for n, e in ((20, 0), (3, -8), (50, 6))]
+               + [rng.normal(size=(10, m))])
+    kernel = FSDSKernel()
+    for start in range(len(windows)):  # every window kind comes first once
+        fast = slow = kernel.init_state(m, {"ell": ell})
+        # the inf row ends the stream: its NaN sketch fails the next SVD
+        for X in windows[start:] + [inf_row]:
+            with np.errstate(invalid="ignore", over="ignore"):
+                w1, fast = kernel.update(fast, X, None, k=k)
+                w2, slow = _fsds_always_nan_to_num(slow, X, k)
+            assert _same_bits(w1, w2)
+            assert _same_bits(fast["B"], slow["B"])
+
+
 def _bucket(seed=5, n_convs=6):
     """One selector bucket as a pyarrow table, rows in shuffled order."""
     from pystreamfs_ray.stages.featurize import featurize_batch
@@ -132,11 +253,33 @@ def _bucket(seed=5, n_convs=6):
     return t.append_column("__bucket", pa.array(np.zeros(t.num_rows, np.int64)))
 
 
-def _selector(kernel, **kw):
+def _selector(kernel, max_history=200, **kw):
     from pystreamfs_ray.stages.selector import BucketSelector
 
     return BucketSelector(kernel=kernel, batch_size=20, num_features=4,
-                          evaluate="knn", max_history=200, **kw)
+                          evaluate="knn", max_history=max_history, **kw)
+
+
+@pytest.mark.parametrize("max_history", [0, 200])
+def test_selector_acc_equals_brute_force_knn(monkeypatch, max_history):
+    """The selector's inline eval scores every window as the brute-force
+    stable-argsort KNN does; ``max_history=0`` fits every window after
+    an entity's first on zero rows, which predict 0."""
+    group = _bucket()
+    kernels = ["ofs", "efs", "fsds"]
+    fits = []
+    fit = KNNClassifier.fit
+    monkeypatch.setattr(KNNClassifier, "fit",
+                        lambda self, X, y, norms=None:
+                        fits.append(len(y)) or fit(self, X, y, norms))
+    got = _selector(kernels, max_history)(group).to_pandas()
+    monkeypatch.setattr(KNNClassifier, "predict", lambda self, X: _stable_knn(
+        self._X, self._y, X, min(self.k, len(self._y)), self._norms))
+    want = _selector(kernels, max_history)(group).to_pandas()
+    assert (0 in fits) == (max_history == 0)
+    assert got[["conv_id", "window_id", "kernel"]].equals(
+        want[["conv_id", "window_id", "kernel"]])
+    assert np.array_equal(got["acc"].to_numpy(), want["acc"].to_numpy())
 
 
 def test_shared_set_gets_every_kernel_the_same_acc(monkeypatch):

@@ -177,7 +177,7 @@ def test_asof_join_leakage_and_duckdb(ray_session, synth_dirs, broadcast_paths):
         assert len(a) < n_labels, path
 
 
-def test_checkpoint_resume(ray_session, synth_dirs, tmp_path):
+def test_checkpoint_resume(ray_session, synth_dirs, tmp_path, monkeypatch):
     import ray.data as rd
 
     from pystreamfs_ray.pipelines.flagship import feature_windows
@@ -213,11 +213,24 @@ def test_checkpoint_resume(ray_session, synth_dirs, tmp_path):
     for b in victims:
         shutil.rmtree(os.path.join(ckpt, f"bucket={b}"))
 
+    # the selector input that skips the done buckets, kept for a look
+    import pystreamfs_ray.stages.selector as selector_mod
+
+    pending, run_selector = [], selector_mod.run_selector
+    monkeypatch.setattr(selector_mod, "run_selector",
+                        lambda ds, **kw: run_selector(pending.append(ds) or ds, **kw))
     feats = featurize(rd.read_parquet(synth_dirs["transcripts"]))
     resumed = resume_selector(
         feats, checkpoint_dir=ckpt, kernel="ofs", kernel_params=None,
         fingerprint="fixture-v1", num_buckets=8, batch_size=20,
     ).to_pandas()
+    # Arrow blocks without pandas schema metadata go into the exchange
+    import ray
+
+    (pending,) = pending
+    blocks = ray.get(pending.to_arrow_refs())
+    assert sum(b.num_rows for b in blocks) > 0
+    assert all(b"pandas" not in (b.schema.metadata or {}) for b in blocks)
 
     key = ["conv_id", "window_id"]
     assert list(resumed.columns) == list(full.columns)
